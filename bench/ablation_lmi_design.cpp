@@ -27,8 +27,8 @@ using namespace lmi;
 int
 main(int argc, char** argv)
 {
+    const double scale = bench::parseBenchArgs(argc, argv, 1.0).scale;
     bench::banner("Ablation", "K sweep + delayed termination");
-    const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
 
     // --- 1. Minimum-allocation-size sweep ------------------------------
     // The trade-off only shows on a trace that mixes the device heap's

@@ -20,7 +20,8 @@
  * here before it can poison a sweep.
  *
  * usage: bench_alloc_throughput [scale] [--out FILE] [--check FILE]
- *                               [--tolerance PCT] [--drain N]
+ *                               [--tolerance PCT] [--drain N] [--help]
+ * Malformed values exit 2; --help prints usage and runs nothing.
  */
 
 #include <cstdio>
@@ -67,24 +68,26 @@ main(int argc, char** argv)
     double tolerance = 30.0;
     unsigned drain_interval = 256;
     bool scale_seen = false;
+    constexpr const char* kFlags = "[scale] [--out FILE] [--check FILE] "
+                                   "[--tolerance PCT] [--drain N]";
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
+        if (bench::isHelpFlag(argv[i])) {
+            bench::exitUsage(argv[0], kFlags, true);
+        } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--check") && i + 1 < argc) {
             check_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--tolerance") && i + 1 < argc) {
-            tolerance = std::atof(argv[++i]);
+            tolerance =
+                bench::parseOrExit(parseDouble, "--tolerance", argv[++i]);
         } else if (!std::strcmp(argv[i], "--drain") && i + 1 < argc) {
-            drain_interval = unsigned(std::atoi(argv[++i]));
-        } else if (!scale_seen) {
-            scale = std::atof(argv[i]);
+            drain_interval =
+                bench::parseOrExit(parseUnsigned, "--drain", argv[++i]);
+        } else if (!scale_seen && std::strncmp(argv[i], "--", 2)) {
+            scale = bench::parseOrExit(parseScale, "scale", argv[i]);
             scale_seen = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [scale] [--out FILE] [--check FILE] "
-                         "[--tolerance PCT] [--drain N]\n",
-                         argv[0]);
-            return 2;
+            bench::exitUsage(argv[0], kFlags, false);
         }
     }
 

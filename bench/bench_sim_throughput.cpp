@@ -25,25 +25,23 @@
  * combined with `--check` on a multi-core host, the widest in-core
  * point must show real speedup (>= 1.15x over 1 thread); on a 1-CPU
  * host the scaling assertion is skipped with a notice — flat scaling
- * there is physics, not a regression (the committed baseline was
- * recorded on such a runner; see ROADMAP).
+ * there is physics, not a regression.
  *
  * Tier pass: unless `--no-tiers` is given, the basket is re-run under
- * the functional and sampled execution tiers. Their throughput is
- * reported as *equivalent* Mcycles/s — the detailed pass's aggregate
- * cycles divided by the tier's wall clock, i.e. the rate at which the
- * tier retires the same simulated work — along with the speedup over
- * detailed and, for the sampled tier, the aggregate cycle-estimate
- * error against the detailed pass. Recorded under "tiers" in the JSON.
+ * the functional execution tier. Its throughput is reported as
+ * *equivalent* Mcycles/s — the detailed pass's aggregate cycles divided
+ * by the tier's wall clock, i.e. the rate at which the tier retires the
+ * same simulated work — along with the speedup over detailed. Recorded
+ * under "tiers" in the JSON.
  *
  * usage: bench_sim_throughput [scale] [--jobs N] [--out FILE]
  *                             [--check FILE] [--tolerance PCT]
- *                             [--threads LIST] [--no-tiers]
+ *                             [--threads LIST] [--no-tiers] [--help]
+ * Malformed values exit 2; --help prints usage and runs nothing.
  */
 
 #include <sys/resource.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -121,36 +119,37 @@ main(int argc, char** argv)
     std::vector<unsigned> thread_counts;
     bool run_tiers = true;
     bool scale_seen = false;
+    constexpr const char* kFlags =
+        "[scale] [--jobs N] [--out FILE] [--check FILE] "
+        "[--tolerance PCT] [--threads LIST] [--no-tiers]";
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-tiers")) {
+        if (bench::isHelpFlag(argv[i])) {
+            bench::exitUsage(argv[0], kFlags, true);
+        } else if (!std::strcmp(argv[i], "--no-tiers")) {
             run_tiers = false;
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = unsigned(std::atoi(argv[++i]));
+            jobs = bench::parseOrExit(parseUnsigned, "--jobs", argv[++i]);
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--check") && i + 1 < argc) {
             check_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--tolerance") && i + 1 < argc) {
-            tolerance = std::atof(argv[++i]);
+            tolerance =
+                bench::parseOrExit(parseDouble, "--tolerance", argv[++i]);
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            for (const char* p = argv[++i]; *p;) {
-                char* end;
-                const long v = std::strtol(p, &end, 10);
-                if (end == p || v < 1)
-                    break;
-                thread_counts.push_back(unsigned(v));
-                p = *end == ',' ? end + 1 : end;
+            thread_counts = bench::parseOrExit(parseUnsignedList,
+                                               "--threads", argv[++i]);
+            for (const unsigned t : thread_counts) {
+                if (t == 0) {
+                    std::fprintf(stderr, "error: bad --threads entry 0\n");
+                    return 2;
+                }
             }
-        } else if (!scale_seen) {
-            scale = std::atof(argv[i]);
+        } else if (!scale_seen && std::strncmp(argv[i], "--", 2)) {
+            scale = bench::parseOrExit(parseScale, "scale", argv[i]);
             scale_seen = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [scale] [--jobs N] [--out FILE] "
-                         "[--check FILE] [--tolerance PCT] "
-                         "[--threads LIST] [--no-tiers]\n",
-                         argv[0]);
-            return 2;
+            bench::exitUsage(argv[0], kFlags, false);
         }
     }
 
@@ -261,63 +260,45 @@ main(int argc, char** argv)
                     scale_table.render().c_str());
     }
 
-    // Tier pass: same basket, same serial engine, other tiers. The
+    // Tier pass: same basket, same serial engine, functional tier. The
     // meaningful rate for a tier that estimates cycles is how fast it
-    // retires the *detailed* tier's work, so both tiers are scored as
-    // detailed-aggregate-cycles over their own wall clock.
+    // retires the *detailed* tier's work, so it is scored as
+    // detailed-aggregate-cycles over its own wall clock.
     struct TierPoint
     {
-        std::string name;
         uint64_t est_cycles = 0; ///< the tier's own cycle estimates
         double wall_ms = 0.0;
         double equiv_mcps = 0.0;
         double speedup = 0.0;
-        double cycle_error_pct = 0.0; ///< sampled only
     };
-    std::vector<TierPoint> tiers;
+    TierPoint func;
     if (run_tiers) {
-        for (const ExecutionTier tier :
-             {ExecutionTier::Functional, ExecutionTier::Sampled}) {
-            SweepSpec tspec = spec;
-            tspec.tier = tier;
-            const SweepResult ts = runSweep(tspec);
-            if (ts.failures) {
-                std::fprintf(stderr,
-                             "error: %zu cell(s) failed under the %s "
-                             "tier\n",
-                             ts.failures, executionTierName(tier));
-                return 1;
-            }
-            TierPoint pt;
-            pt.name = executionTierName(tier);
-            for (const CellResult& cell : ts.cells) {
-                pt.est_cycles += cell.result.cycles;
-                pt.wall_ms += cell.wall_ms;
-            }
-            pt.equiv_mcps = pt.wall_ms > 0.0
-                                ? double(total.cycles) / pt.wall_ms /
-                                      1000.0
-                                : 0.0;
-            pt.speedup =
-                total.mcps() > 0.0 ? pt.equiv_mcps / total.mcps() : 0.0;
-            if (tier == ExecutionTier::Sampled && total.cycles > 0)
-                pt.cycle_error_pct =
-                    100.0 *
-                    std::abs(double(pt.est_cycles) -
-                             double(total.cycles)) /
-                    double(total.cycles);
-            tiers.push_back(std::move(pt));
+        SweepSpec tspec = spec;
+        tspec.tier = ExecutionTier::Functional;
+        const SweepResult ts = runSweep(tspec);
+        if (ts.failures) {
+            std::fprintf(stderr,
+                         "error: %zu cell(s) failed under the "
+                         "functional tier\n",
+                         ts.failures);
+            return 1;
         }
+        for (const CellResult& cell : ts.cells) {
+            func.est_cycles += cell.result.cycles;
+            func.wall_ms += cell.wall_ms;
+        }
+        func.equiv_mcps = func.wall_ms > 0.0 ? double(total.cycles) /
+                                                   func.wall_ms / 1000.0
+                                             : 0.0;
+        func.speedup =
+            total.mcps() > 0.0 ? func.equiv_mcps / total.mcps() : 0.0;
         TextTable tier_table({"tier", "wall_ms", "equiv_mcycles_per_sec",
-                              "speedup_vs_detailed", "cycle_error"});
+                              "speedup_vs_detailed"});
         tier_table.addRow({"detailed", fmtF(total.wall_ms, 1),
-                           fmtF(total.mcps(), 2), "1.00x", "-"});
-        for (const TierPoint& pt : tiers)
-            tier_table.addRow(
-                {pt.name, fmtF(pt.wall_ms, 1), fmtF(pt.equiv_mcps, 2),
-                 fmtF(pt.speedup, 2) + "x",
-                 pt.name == "sampled" ? fmtF(pt.cycle_error_pct, 2) + "%"
-                                      : "-"});
+                           fmtF(total.mcps(), 2), "1.00x"});
+        tier_table.addRow({"functional", fmtF(func.wall_ms, 1),
+                           fmtF(func.equiv_mcps, 2),
+                           fmtF(func.speedup, 2) + "x"});
         std::printf("\nexecution tiers (equivalent rate = detailed "
                     "cycles / tier wall):\n%s",
                     tier_table.render().c_str());
@@ -354,21 +335,13 @@ main(int argc, char** argv)
     // runner and a wide box are not comparable.
     out << "  \"host_cpus\": "
         << std::max(1u, std::thread::hardware_concurrency());
-    if (!tiers.empty()) {
+    if (run_tiers) {
         out << ",\n  \"tiers\": {\n";
-        for (size_t i = 0; i < tiers.size(); ++i) {
-            const TierPoint& pt = tiers[i];
-            out << "    \"" << pt.name
-                << "\": {\"wall_ms\": " << fmtF(pt.wall_ms, 3)
-                << ", \"est_cycles\": " << pt.est_cycles
-                << ", \"equiv_mcycles_per_sec\": "
-                << fmtF(pt.equiv_mcps, 3)
-                << ", \"speedup_vs_detailed\": " << fmtF(pt.speedup, 3);
-            if (pt.name == "sampled")
-                out << ", \"cycle_error_pct\": "
-                    << fmtF(pt.cycle_error_pct, 3);
-            out << "}" << (i + 1 < tiers.size() ? "," : "") << "\n";
-        }
+        out << "    \"functional\": {\"wall_ms\": " << fmtF(func.wall_ms, 3)
+            << ", \"est_cycles\": " << func.est_cycles
+            << ", \"equiv_mcycles_per_sec\": " << fmtF(func.equiv_mcps, 3)
+            << ", \"speedup_vs_detailed\": " << fmtF(func.speedup, 3)
+            << "}\n";
         out << "  }";
     }
     if (!scaling.empty()) {

@@ -48,10 +48,10 @@ printConfig()
 int
 main(int argc, char** argv)
 {
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 1.0);
     bench::banner("Figure 12",
                   "normalized execution time: Baggy / GPUShield / LMI");
     printConfig();
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 1.0);
 
     SweepSpec spec;
     for (const auto& profile : workloadSuite())

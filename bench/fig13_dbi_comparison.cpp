@@ -28,9 +28,9 @@ using namespace lmi;
 int
 main(int argc, char** argv)
 {
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 0.1);
     bench::banner("Figure 13", "DBI: LMI-by-NVBit vs Compute Sanitizer "
                                "memcheck (log-scale data)");
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 0.1);
 
     SweepSpec spec;
     spec.profiles = dbiWorkloads();

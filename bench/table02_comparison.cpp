@@ -50,8 +50,8 @@ measuredOverheadPct(const SweepResult& sweep, MechanismKind kind,
 int
 main(int argc, char** argv)
 {
-    bench::banner("Table II", "mechanism comparison (coverage + overhead)");
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 1.0);
+    bench::banner("Table II", "mechanism comparison (coverage + overhead)");
     const double scale = args.scale;
 
     // One sweep covers the baseline and every measured column.

@@ -268,7 +268,6 @@ runSweep(const SweepSpec& spec)
             out.sim_threads = dev.simThreads();
             LaunchOptions lopts;
             lopts.tier = cell.tier;
-            lopts.sampling = cell.sampling;
             const WorkloadRun run = runWorkload(
                 dev, cell.workload, cell.scale, RaceSeed::None, lopts);
             out.result = run.result;

@@ -17,10 +17,9 @@ namespace {
  *  v2: payload carries a trailing "end=1" sentinel so truncated files
  *  (a killed writer, a partially synced disk) are rejected instead of
  *  silently deserializing a prefix.
- *  v3: the execution tier joins the fingerprint (plus the sampling
- *  schedule when tier == Sampled) and the payload carries a "tier="
- *  line — a functional/sampled run must never be served from a
- *  detailed-tier cache entry or vice versa. */
+ *  v3: the execution tier joins the fingerprint and the payload
+ *  carries a "tier=" line — a functional run must never be served
+ *  from a detailed-tier cache entry or vice versa. */
 constexpr uint64_t kCellFormatVersion = 3;
 
 constexpr const char* kMagic = "lmi-cell-v1";
@@ -126,15 +125,6 @@ cellFingerprint(const SweepCell& cell)
     h.str(mechanismKindName(cell.mechanism));
     h.f64(cell.scale);
     h.str(executionTierName(cell.tier));
-    // The sampling schedule only shapes the outcome under Sampled;
-    // hashing it unconditionally would miss valid cache entries when a
-    // caller tweaks sampling params for a detailed sweep.
-    if (cell.tier == ExecutionTier::Sampled) {
-        h.u64(cell.sampling.period_slices);
-        h.u64(cell.sampling.warmup_slices);
-        h.u64(cell.sampling.detailed_slices);
-        h.u64(cell.sampling.light_slices);
-    }
     hashConfig(h, cell.config);
     return h.value();
 }
@@ -425,7 +415,6 @@ SweepSpec::expand() const
                 cell.mechanism = mechanism;
                 cell.scale = scale;
                 cell.tier = tier;
-                cell.sampling = sampling;
                 cell.config =
                     configure ? configure(profile.name, mechanism, scale,
                                           config)

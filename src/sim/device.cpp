@@ -171,13 +171,6 @@ Device::launch(const CompiledKernel& kernel, unsigned grid_blocks,
         lmi_fatal("launch of %s passes %zu params, kernel expects %u",
                   kernel.program.name.c_str(), params.size(),
                   kernel.program.num_params);
-    if (options.tier == ExecutionTier::Sampled && !options.sampling.valid())
-        lmi_fatal("launch of %s with invalid sampling schedule "
-                  "(period=%u warmup=%u detailed=%u)",
-                  kernel.program.name.c_str(),
-                  options.sampling.period_slices,
-                  options.sampling.warmup_slices,
-                  options.sampling.detailed_slices);
 
     Launch launch;
     launch.grid_blocks = grid_blocks;
@@ -187,7 +180,6 @@ Device::launch(const CompiledKernel& kernel, unsigned grid_blocks,
     launch.sim_threads =
         options.sim_threads ? options.sim_threads : config_.sim_threads;
     launch.tier = options.tier;
-    launch.sampling = options.sampling;
     launch.trace = options.trace;
     launch.sanitizer = options.sanitizer;
     launch.memlog = options.memlog;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -384,41 +383,10 @@ struct GpuSim::SmCtx
         uint64_t dram_accesses = 0;
     };
 
-    /** Sampled-tier bookkeeping: what the detailed windows measured and
-     *  how much work the light slices carried between them. */
-    struct Sampling
-    {
-        /** Cycles / warp instructions advanced during every detailed
-         *  slice (incl. warmup). */
-        uint64_t det_cycles = 0;
-        uint64_t det_insts = 0;
-        /** Cycles / warp instructions during *measured* slices only. */
-        uint64_t meas_cycles = 0;
-        uint64_t meas_insts = 0;
-        /** Warp instructions executed by fast-forward and light slices. */
-        uint64_t fast_insts = 0;
-        /** Per measured slice (cycles, insts) — the CPI variance input.
-         *  Bounded so pathological runs can't grow it unbounded; the
-         *  aggregate ratio estimator above is exact regardless. */
-        std::vector<std::pair<uint64_t, uint64_t>> samples;
-    };
-    static constexpr size_t kMaxCpiSamples = 4096;
-
     unsigned sm_id = 0;
     uint64_t cycle = 0;
     /** LSU port occupancy: memory instructions serialize here. */
     uint64_t lsu_busy_until = 0;
-    /** Sampled tier: true while the current slice is "light" — the full
-     *  detailed pipeline runs (scheduler, scoreboard, LSU, mechanism
-     *  costs) but global/local memory is charged `avg_mem_lat` instead
-     *  of probing the cache hierarchy (see executeMemory). Always false
-     *  in the other tiers. */
-    bool light_slice = false;
-    /** Mean global/local memory-system latency learned from the last
-     *  detailed window (`lat_sum / lat_cnt` at window end). */
-    uint64_t avg_mem_lat = 0;
-    uint64_t lat_sum = 0;
-    uint64_t lat_cnt = 0;
     CacheModel l1;
     /** This SM's share of HBM bandwidth (own queue, so SM clocks stay
      *  decoupled). */
@@ -471,12 +439,10 @@ struct GpuSim::SmCtx
     std::vector<AtomOp> atom_q;
     std::vector<PendingFault> fault_q;
     Counters cnt;
-    Sampling samp;
     uint64_t event_seq = 0;
 
     SmCtx(const GpuConfig& cfg)
-        : avg_mem_lat(cfg.l1_latency),
-          l1(cfg.l1_size, cfg.l1_assoc, cfg.line_bytes),
+        : l1(cfg.l1_size, cfg.l1_assoc, cfg.line_bytes),
           last_issued(cfg.schedulers_per_sm, -1),
           sched_live(cfg.schedulers_per_sm),
           sched_sleep(cfg.schedulers_per_sm, 0)
@@ -1045,51 +1011,15 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     // plus any per-transaction check serialization (single-ported
     // bounds/check structures) — this is a throughput cost shared by
     // every warp on the SM, on top of the per-instruction latency.
-    // Light slices bypass the port entirely: after a fast-forward
-    // phase every warp re-issues at once, and a convoy that deep would
-    // back the queue up by whole periods (the stall jump then skips
-    // the very windows meant to measure). Light-slice timing is
-    // discarded from the estimate anyway — its only job is to
-    // re-stagger warps, which the per-warp skew below does.
     const unsigned ntrans = lines.empty() ? 1 : unsigned(lines.size());
-    unsigned queue_wait = 0;
-    if (!sm.light_slice) {
-        const unsigned occupancy = ntrans + serialized;
-        const uint64_t start = std::max(sm.cycle, sm.lsu_busy_until);
-        sm.lsu_busy_until = start + occupancy;
-        queue_wait = unsigned(start - sm.cycle);
-    }
+    const unsigned occupancy = ntrans + serialized;
+    const uint64_t start = std::max(sm.cycle, sm.lsu_busy_until);
+    sm.lsu_busy_until = start + occupancy;
+    const unsigned queue_wait = unsigned(start - sm.cycle);
 
     unsigned latency;
     if (space == MemSpace::Shared) {
         latency = config_.shared_latency + extra + queue_wait;
-    } else if (sm.light_slice) {
-        // Light slice (sampled tier): charge the mean memory latency
-        // learned in the last detailed window instead of probing the
-        // hierarchy, but keep the tag arrays warm — L1 is SM-private,
-        // and L2 touches ride the slice-local replay log the commit
-        // barrier replays in canonical SM order, so the warmed state is
-        // deterministic at every sim_threads. No hit/miss counters
-        // move: in the sampled tier the cache statistics mean "as
-        // measured in the detailed windows".
-        for (uint64_t line : lines) {
-            const uint64_t byte_addr = line * config_.line_bytes;
-            if (sm.l1.access(byte_addr))
-                continue;
-            sm.l2_log.push_back(byte_addr);
-            sm.own_lines.insert(line);
-        }
-        // Charge the learned mean with a deterministic per-warp skew
-        // spreading completions over [lat/2, 3lat/2). A uniform charge
-        // would keep the fast-forward convoy in lock-step — every warp
-        // re-issuing on the same cycle looks far more congested than
-        // steady state — while the skew pulls the machine back to the
-        // interleaved occupancy the measured windows need.
-        const uint64_t lat = sm.avg_mem_lat;
-        const uint64_t skew =
-            lat / 2 + ((warp.first_gtid / 32) % 16) * lat / 16;
-        latency = unsigned(skew) +
-                  (ntrans - 1) * config_.coalesce_serialize + extra;
     } else {
         unsigned worst = config_.l1_latency;
         for (uint64_t line : lines) {
@@ -1120,11 +1050,6 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
         }
         latency = worst + (ntrans - 1) * config_.coalesce_serialize +
                   extra + queue_wait;
-        if (launch_.tier == ExecutionTier::Sampled) {
-            // Feed the learning window the light slices draw from.
-            sm.lat_sum += worst;
-            ++sm.lat_cnt;
-        }
     }
 
     if (!is_store && inst.dst >= 0)
@@ -1298,8 +1223,6 @@ GpuSim::executeMemoryFunctional(SmCtx& sm, Warp& warp,
     access.stack_top = config_.stack_top;
     access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
 
-    uint64_t warm_prev_line = ~uint64_t(0);
-
     for (unsigned lane = 0; lane < warp.lanes; ++lane) {
         if (!(warp.active & (1u << lane)))
             continue;
@@ -1336,32 +1259,6 @@ GpuSim::executeMemoryFunctional(SmCtx& sm, Warp& warp,
           }
           case MemSpace::Constant:
             lmi_panic("constant space reached the LSU");
-        }
-
-        // Functional warming (sampled tier only): a measured window
-        // needs the cache tags an equally-long detailed run would hold
-        // — fast-forward that skips the hierarchy hands every window a
-        // cold L2 and inflates its CPI (bfs: ~91% L2 hits detailed,
-        // ~50% unwarmed). L1 tags are touched but deliberately do NOT
-        // filter the L2 touches: the quantum'd fast-forward stream has
-        // far more self-locality than the real per-cycle interleave,
-        // and an L1 filter would starve the L2 LRU of exactly the hot
-        // lines the real machine keeps refreshing (its tiny L1
-        // thrashes, so the L2 sees nearly every access). Consecutive
-        // same-line lanes dedup like the coalescer would; the slice
-        // replay log stays in issue order — deterministic at every
-        // sim_threads. No hit/miss counters move; the pure functional
-        // tier stays hierarchy-free.
-        if (launch_.tier == ExecutionTier::Sampled &&
-            (space == MemSpace::Global || space == MemSpace::Local)) {
-            const uint64_t line = addr / config_.line_bytes;
-            const uint64_t byte_addr = line * config_.line_bytes;
-            sm.l1.access(byte_addr);
-            if (line != warm_prev_line) {
-                warm_prev_line = line;
-                sm.l2_log.push_back(byte_addr);
-                sm.own_lines.insert(line);
-            }
         }
 
         if (launch_.sanitizer)
@@ -1661,8 +1558,8 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
 
     // Integer / FP / MOV / S2R / ISETP / LDC path. The functional tier
     // never consults readiness, so it skips the latency query; the
-    // reg_ready/pred_ready stores below are shared (harmless stale
-    // values that the sampled tier's hand-off reset clears).
+    // reg_ready/pred_ready stores below are shared (values it writes
+    // are never read).
     unsigned latency = d.alu_latency;
     if (!kFunctional && inst.hints.active)
         latency += mech_.extraIntLatency(inst);
@@ -1998,109 +1895,13 @@ GpuSim::retireBlocks(SmCtx& sm)
     }
 }
 
-bool
-GpuSim::sliceIsDetailed(uint64_t slice_no) const
-{
-    switch (launch_.tier) {
-      case ExecutionTier::Detailed:
-        return true;
-      case ExecutionTier::Functional:
-        return false;
-      case ExecutionTier::Sampled: {
-        const SamplingParams& s = launch_.sampling;
-        const uint64_t phase = (slice_no - 1) % s.period_slices;
-        return phase < s.warmup_slices + s.detailed_slices;
-      }
-    }
-    return true;
-}
-
-bool
-GpuSim::sliceIsMeasured(uint64_t slice_no) const
-{
-    if (launch_.tier != ExecutionTier::Sampled)
-        return false;
-    const SamplingParams& s = launch_.sampling;
-    const uint64_t phase = (slice_no - 1) % s.period_slices;
-    return phase >= s.warmup_slices &&
-           phase < s.warmup_slices + s.detailed_slices;
-}
-
 void
 GpuSim::stepSmSlice(SmCtx& sm, uint64_t slice_no)
 {
-    if (launch_.tier == ExecutionTier::Functional) {
+    if (launch_.tier == ExecutionTier::Functional)
         stepSmSliceFunctional(sm, slice_no);
-        return;
-    }
-    if (launch_.tier == ExecutionTier::Detailed) {
+    else
         stepSmSliceDetailed(sm, slice_no);
-        return;
-    }
-    // Sampled tier — the SMARTS cadence on slice granularity. Each
-    // period runs warmup + measured detailed slices, fast-forwards
-    // functionally, then closes with "light" slices: the full detailed
-    // pipeline (scheduler, scoreboard, LSU occupancy, mechanism check
-    // costs) with executeMemory charging the mean memory latency
-    // learned in the last detailed window instead of probing the
-    // cache/DRAM models. Fast-forward leaves every warp ready at once;
-    // the light slices let the LSU ports and latency stalls pull that
-    // convoy back apart, so the next warmup starts from a re-staggered
-    // machine and the measured windows see steady-state timing. Total
-    // cycles are then extrapolated in instruction space from the
-    // measured windows' CPI (see estimateCycles).
-    //
-    // Metering note: stall fast-forwards can jump an SM's clock past
-    // several slices; charging the whole jump to the slice it happened
-    // in keeps the cycles-per-instruction ratio exact.
-    const SamplingParams& sp = launch_.sampling;
-    const uint64_t phase = (slice_no - 1) % sp.period_slices;
-    if (phase == 0) {
-        // A fresh learning window: this period's light slices use only
-        // latencies observed in this period's detailed slices.
-        sm.lat_sum = 0;
-        sm.lat_cnt = 0;
-    }
-    if (!sliceIsDetailed(slice_no) &&
-        phase < sp.period_slices - sp.light_slices) {
-        const uint64_t i0 = sm.cnt.instructions;
-        stepSmSliceFunctional(sm, slice_no);
-        sm.samp.fast_insts += sm.cnt.instructions - i0;
-        return;
-    }
-    sm.light_slice = !sliceIsDetailed(slice_no);
-    const uint64_t c0 = sm.cycle;
-    const uint64_t i0 = sm.cnt.instructions;
-    stepSmSliceDetailed(sm, slice_no);
-    const uint64_t dc = sm.cycle - c0;
-    const uint64_t di = sm.cnt.instructions - i0;
-    sm.light_slice = false;
-    if (phase >= sp.warmup_slices + sp.detailed_slices) {
-        sm.samp.fast_insts += di;
-    } else {
-        sm.samp.det_cycles += dc;
-        sm.samp.det_insts += di;
-        if (sliceIsMeasured(slice_no)) {
-            sm.samp.meas_cycles += dc;
-            sm.samp.meas_insts += di;
-            if (di > 0 && sm.samp.samples.size() < SmCtx::kMaxCpiSamples)
-                sm.samp.samples.emplace_back(dc, di);
-        }
-    }
-    if (phase == sp.warmup_slices + sp.detailed_slices - 1 &&
-        sm.lat_cnt != 0) {
-        // Cap the learned mean at the no-queue hierarchy round trip.
-        // Under DRAM saturation the measured mean includes unbounded
-        // queueing delay; replaying that as a uniform stall would park
-        // every warp of the fast-forward convoy past the next warmup
-        // and poison the measured window (a positive feedback that
-        // collapses the fast-forward budget). The light slices only
-        // need enough latency to re-stagger the convoy — contention is
-        // the measured windows' job.
-        const uint64_t cap = uint64_t(config_.l1_latency) +
-                             config_.l2_latency + config_.dram_latency;
-        sm.avg_mem_lat = std::min(sm.lat_sum / sm.lat_cnt, cap);
-    }
 }
 
 void
@@ -2113,20 +1914,17 @@ GpuSim::stepSmSliceFunctional(SmCtx& sm, uint64_t slice_no)
         return; // a stall jump already crossed this slice
     sm.gview.beginSlice(slice_no);
 
-    // Budget of warp instructions for this slice. The sampled tier's
-    // fast-forward uses the detailed machine's issue ceiling
-    // (schedulers × slice cycles), so cross-SM visibility (stores,
-    // heap ops, faults) advances on a granularity comparable to the
-    // detailed slices it alternates with. The pure functional tier has
-    // no detailed slices to pace against, so it widens the slice 16× —
-    // the slice barrier (overlay stamp re-sync, store-log and L2-log
-    // replay, pool hand-off) is pure overhead there, and paying it
-    // 16× less often is worth ~30% of the tier's wall clock.
-    // Deterministic either way: the budget is a pure function of the
-    // config — round-robin over warps, no wall-clock or thread
+    // Budget of warp instructions for this slice: 16× the detailed
+    // machine's issue ceiling (schedulers × slice cycles). The slice
+    // barrier (overlay stamp re-sync, store-log replay, pool hand-off)
+    // is pure overhead without a timing model, and paying it 16× less
+    // often is worth ~30% of the tier's wall clock. The factor also
+    // fixes where cross-SM stores, heap ops and faults become visible,
+    // so it is part of the tier's output, not a free knob. The budget
+    // is a pure function of the config — no wall-clock or thread
     // dependence.
-    uint64_t budget = uint64_t(config_.schedulers_per_sm) * kSliceCycles *
-                      (launch_.tier == ExecutionTier::Functional ? 16 : 1);
+    uint64_t budget =
+        uint64_t(config_.schedulers_per_sm) * kSliceCycles * 16;
     while (budget > 0) {
         if (sm.retire_pending) {
             sm.retire_pending = false;
@@ -2152,11 +1950,10 @@ GpuSim::stepSmSliceFunctional(SmCtx& sm, uint64_t slice_no)
             // Bounded quantum per warp per pass: handing the whole
             // budget to the first runnable warp would serialize the
             // warps in program space — one sprints to its end before
-            // the next starts — and a sampled-tier detailed window
-            // entered from that state sees none of the inter-warp
-            // overlap the real GTO schedule keeps. The round-robin
-            // quantum preserves the interleave (and is a pure function
-            // of machine state, so determinism is untouched).
+            // the next starts. The round-robin quantum keeps warps
+            // interleaved, which decides the order of their heap ops
+            // and stores within a slice; it is a pure function of
+            // machine state, so determinism is untouched.
             uint64_t quantum = std::min<uint64_t>(budget, 32);
             const uint64_t before = quantum;
             runWarpFunctional(sm, w, quantum);
@@ -2356,38 +2153,11 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
 
     // (b) Replay L2 line traffic through the real LRU array in SM
     // order; the per-slice own-lines sets start fresh next slice.
-    if (launch_.tier == ExecutionTier::Sampled) {
-        // Sampled tier: interleave the replay round-robin across SMs
-        // instead of SM-sequentially. A fast-forward slice carries
-        // several times the line traffic of a real slice, and replaying
-        // it one whole SM at a time lets each SM's compressed stream
-        // sweep the shared LRU before the next SM's hot lines get their
-        // refresh — evicting exactly the lines the fine per-cycle
-        // interleave of the detailed machine keeps resident, which then
-        // reads as a cold L2 in every measured window. Round-robin by
-        // line restores the fine-grained temporal mixing.
-        // Deterministic: pure function of the logs' canonical order.
-        size_t idx = 0;
-        for (bool any = true; any; ++idx) {
-            any = false;
-            for (SmCtx& sm : sms) {
-                if (idx < sm.l2_log.size()) {
-                    l2_.access(sm.l2_log[idx]);
-                    any = true;
-                }
-            }
-        }
-        for (SmCtx& sm : sms) {
-            sm.l2_log.clear();
-            sm.own_lines.clear();
-        }
-    } else {
-        for (SmCtx& sm : sms) {
-            for (const uint64_t addr : sm.l2_log)
-                l2_.access(addr);
-            sm.l2_log.clear();
-            sm.own_lines.clear();
-        }
+    for (SmCtx& sm : sms) {
+        for (const uint64_t addr : sm.l2_log)
+            l2_.access(addr);
+        sm.l2_log.clear();
+        sm.own_lines.clear();
     }
 
     // (c) Execute deferred heap ops in (sm, seq) order and unpark their
@@ -2571,121 +2341,17 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
 // ---------------------------------------------------------------------
 
 uint64_t
-GpuSim::estimateCycles(const std::vector<SmCtx>& sms, uint64_t max_cycle)
+GpuSim::estimateCycles(const std::vector<SmCtx>& sms) const
 {
-    if (launch_.tier == ExecutionTier::Functional) {
-        // No timing model ran. Report the issue-bound lower bound (the
-        // busiest SM's warp instructions over its issue width) so the
-        // field is deterministic and monotone in work, but it is an
-        // estimate — never compare it against detailed cycles.
-        uint64_t est = 0;
-        for (const SmCtx& sm : sms)
-            est = std::max(est, (sm.cnt.instructions +
-                                 config_.schedulers_per_sm - 1) /
-                                    config_.schedulers_per_sm);
-        return est;
-    }
-
-    // Sampled: the classic SMARTS estimator, stratified per SM. The
-    // detailed slices' cycles are exact for the instructions they
-    // retired; every instruction that ran in a fast-forward or light
-    // slice is extrapolated at the SM's measured-window CPI:
-    //
-    //   est_sm = det_cycles_sm + fast_insts_sm * CPI_hat_sm
-    //
-    // and the launch estimate is the busiest SM, mirroring the
-    // detailed tier's max-over-SMs wall clock. Instruction-space
-    // extrapolation keeps measurement strictly separate from
-    // execution: a biased window can tilt the estimate, but nothing
-    // feeds back into how fast the machine runs. Integer arithmetic
-    // throughout, so the estimate is deterministic at every
-    // sim_threads.
-    uint64_t meas_c = 0, meas_i = 0, det_c = 0, det_i = 0, fast_i = 0;
-    for (const SmCtx& sm : sms) {
-        meas_c += sm.samp.meas_cycles;
-        meas_i += sm.samp.meas_insts;
-        det_c += sm.samp.det_cycles;
-        det_i += sm.samp.det_insts;
-        fast_i += sm.samp.fast_insts;
-    }
+    // No timing model ran. Report the issue-bound lower bound (the
+    // busiest SM's warp instructions over its issue width) so the field
+    // is deterministic and monotone in work, but it is an estimate —
+    // never compare it against detailed cycles.
     uint64_t est = 0;
-    uint64_t est_det_c = 0; // det_cycles of the SM that set `est`
-    for (const SmCtx& sm : sms) {
-        uint64_t sm_est = sm.samp.det_cycles;
-        if (sm.samp.fast_insts > 0) {
-            // CPI source, best first: this SM's measured windows; the
-            // launch-global measured windows (an SM that drained in the
-            // first period has none of its own); every detailed slice
-            // including warmup — under heavy queueing a short measured
-            // window can retire nothing at all, but the warmup cycles
-            // still carry the congestion signal. Only when no detailed
-            // slice anywhere ever retired an instruction does the
-            // issue-ceiling lower bound remain.
-            uint64_t c = 0, i = 0;
-            if (sm.samp.meas_insts > 0) {
-                c = sm.samp.meas_cycles;
-                i = sm.samp.meas_insts;
-            } else if (meas_i > 0) {
-                c = meas_c;
-                i = meas_i;
-            } else if (sm.samp.det_insts > 0) {
-                c = sm.samp.det_cycles;
-                i = sm.samp.det_insts;
-            } else if (det_i > 0) {
-                c = det_c;
-                i = det_i;
-            }
-            if (i > 0)
-                sm_est += sm.samp.fast_insts * c / i;
-            else
-                sm_est += (sm.samp.fast_insts +
-                           config_.schedulers_per_sm - 1) /
-                          config_.schedulers_per_sm;
-        }
-        if (sm_est > est) {
-            est = sm_est;
-            est_det_c = sm.samp.det_cycles;
-        }
-    }
-    if (est == 0)
-        est = max_cycle; // no sampling state at all (degenerate run)
-    const double global_cpi =
-        meas_i ? double(meas_c) / double(meas_i) : 0.0;
-
-    // Confidence: the spread of the per-measured-slice CPI samples.
-    // The relative 95% band on the mean CPI, scaled by the share of
-    // the estimate that was extrapolated at that (uncertain) CPI,
-    // bounds the estimate error under the SMARTS i.i.d.-sample model.
-    size_t n = 0;
-    double mean = 0.0;
     for (const SmCtx& sm : sms)
-        for (const auto& [c, i] : sm.samp.samples) {
-            mean += double(c) / double(i);
-            ++n;
-        }
-    double rel_ci95 = 0.0;
-    if (n >= 2 && mean > 0.0) {
-        mean /= double(n);
-        double var = 0.0;
-        for (const SmCtx& sm : sms)
-            for (const auto& [c, i] : sm.samp.samples) {
-                const double d = double(c) / double(i) - mean;
-                var += d * d;
-            }
-        var /= double(n - 1);
-        const double se = std::sqrt(var / double(n));
-        // Share of the (busiest-SM) estimate that came from CPI
-        // extrapolation rather than directly measured cycles.
-        const double fast_share =
-            est > est_det_c ? double(est - est_det_c) / double(est) : 0.0;
-        if (mean > 0.0)
-            rel_ci95 = 100.0 * 1.96 * (se / mean) * fast_share;
-    }
-    result_.stats.set("sim.sampled.cpi", global_cpi);
-    result_.stats.set("sim.sampled.ci95_rel_pct", rel_ci95);
-    result_.stats.inc("sim.sampled.detailed_cycles", det_c);
-    result_.stats.inc("sim.sampled.fast_instructions", fast_i);
-    result_.stats.inc("sim.sampled.cpi_samples", n);
+        est = std::max(est, (sm.cnt.instructions +
+                             config_.schedulers_per_sm - 1) /
+                                config_.schedulers_per_sm);
     return est;
 }
 
@@ -2794,8 +2460,8 @@ GpuSim::run()
         result_.dram_accesses += sm.cnt.dram_accesses;
     }
 
-    if (launch_.tier != ExecutionTier::Detailed)
-        max_cycle = estimateCycles(sms, max_cycle);
+    if (launch_.tier == ExecutionTier::Functional)
+        max_cycle = estimateCycles(sms);
     result_.cycles =
         uint64_t(double(max_cycle) * (1.0 + mech_.launchOverheadFraction()));
 

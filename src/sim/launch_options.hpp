@@ -13,12 +13,8 @@
  *    architectural and protection-mechanism semantics (memory state,
  *    faults, OCU/LSU checks, race sanitizing) but no timing model, no
  *    cache hierarchy and no scheduler bookkeeping. RunResult::cycles
- *    degrades to an issue-bound lower-bound estimate.
- *  - ExecutionTier::Sampled — SMARTS-style alternation of functional
- *    fast-forward and detailed-timing slices on the slice-synchronous
- *    engine; total cycles are extrapolated from the measured slices'
- *    CPI with a confidence estimate (see DESIGN.md, "Two-tier
- *    execution engine").
+ *    degrades to an issue-bound lower-bound estimate (see DESIGN.md,
+ *    "Two-tier execution engine").
  */
 
 #pragma once
@@ -36,7 +32,6 @@ class MemEventSink;
 enum class ExecutionTier : uint8_t {
     Detailed = 0,
     Functional = 1,
-    Sampled = 2,
 };
 
 inline const char*
@@ -45,12 +40,11 @@ executionTierName(ExecutionTier tier)
     switch (tier) {
       case ExecutionTier::Detailed:   return "detailed";
       case ExecutionTier::Functional: return "functional";
-      case ExecutionTier::Sampled:    return "sampled";
     }
     return "?";
 }
 
-/** Parse "detailed" / "functional" / "sampled". @return false and
+/** Parse "detailed" / "functional". @return false and
  *  leave @p out untouched on anything else. */
 inline bool
 parseExecutionTier(const std::string& name, ExecutionTier* out)
@@ -59,53 +53,11 @@ parseExecutionTier(const std::string& name, ExecutionTier* out)
         *out = ExecutionTier::Detailed;
     } else if (name == "functional") {
         *out = ExecutionTier::Functional;
-    } else if (name == "sampled") {
-        *out = ExecutionTier::Sampled;
     } else {
         return false;
     }
     return true;
 }
-
-/**
- * Sampled-tier schedule, in units of engine slices (kSliceCycles
- * cycles of detailed execution, or one fast-forward quantum). Each
- * period of `period_slices` runs, in order:
- *
- *   1. `warmup_slices` detailed slices (timing re-warms, excluded from
- *      the CPI estimator),
- *   2. `detailed_slices` measured detailed slices,
- *   3. functional fast-forward for the remainder of the period,
- *   4. `light_slices` "light" slices closing the period: the full
- *      detailed pipeline (scheduler, scoreboard, mechanism costs) with
- *      per-access cache/DRAM probes and the LSU port model replaced by
- *      a per-warp skew around the mean memory latency learned in the
- *      last detailed window. They disperse the warp convoy
- *      fast-forward leaves behind, so the next period's warmup starts
- *      from a re-staggered machine — SMARTS' detailed-warming stage,
- *      at a fraction of its cost.
- */
-/**
- * Defaults are the validated schedule: 4 warmup + 8 measured + 12
- * fast-forward + 8 light per 32-slice period, the point the Fig. 12
- * basket cross-validation picked (see DESIGN.md, "Sampling-error
- * methodology", and the CI tier-crossval gate).
- */
-struct SamplingParams
-{
-    unsigned period_slices = 32;
-    unsigned warmup_slices = 4;
-    unsigned detailed_slices = 8;
-    unsigned light_slices = 8;
-
-    bool
-    valid() const
-    {
-        return detailed_slices >= 1 && period_slices >= 1 &&
-               warmup_slices + detailed_slices + light_slices <=
-                   period_slices;
-    }
-};
 
 /**
  * Per-launch options. Everything defaults to the plain detailed launch,
@@ -116,8 +68,6 @@ struct SamplingParams
 struct LaunchOptions
 {
     ExecutionTier tier = ExecutionTier::Detailed;
-    /** Sampled-tier schedule; ignored by the other tiers. */
-    SamplingParams sampling;
     /** Dynamic shared memory requested for the launch, in bytes. */
     uint64_t dynamic_shared_bytes = 0;
     /**

@@ -610,9 +610,10 @@ runWorkload(Device& dev, const WorkloadProfile& profile, double scale,
             std::max(32u, unsigned(p.block_threads * scale));
     } else if (scale > 1.0) {
         // Upscale lengthens each thread's element loop instead of
-        // widening the grid: the footprint grows, occupancy and the
-        // block schedule stay identical, and the run reaches the
-        // steady state the sampled tier needs to converge.
+        // widening the grid: the footprint grows past the modelled
+        // caches while occupancy and the block schedule stay
+        // identical, so a larger scale changes the working set and
+        // run length, not the launch shape.
         p.elems_per_thread =
             std::max(1u, unsigned(p.elems_per_thread * scale));
     }

@@ -162,8 +162,8 @@ struct WorkloadRun
  * the kernel. Scale factors < 1.0 shrink the launch geometry for
  * expensive (DBI) configurations. A non-None @p seed launches the
  * race-seeded kernel variant instead of the clean one. @p options is
- * forwarded to Device::launch — execution tier, sampling schedule,
- * trace sink, race sanitizer.
+ * forwarded to Device::launch — execution tier, trace sink, race
+ * sanitizer.
  */
 WorkloadRun runWorkload(Device& dev, const WorkloadProfile& profile,
                         double scale = 1.0,

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for src/common: bit utilities, stats, RNG, table printer.
+ * Unit tests for src/common: bit utilities, stats, RNG, table printer,
+ * strict CLI value parsers.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bitutil.hpp"
+#include "common/cli.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -178,6 +180,92 @@ TEST(Logging, FatalThrows)
     } catch (const FatalError& e) {
         EXPECT_STREQ(e.what(), "value=7");
     }
+}
+
+TEST(Cli, ParseUnsignedAcceptsWholeDecimal)
+{
+    unsigned v = 99;
+    EXPECT_TRUE(parseUnsigned("4", &v));
+    EXPECT_EQ(v, 4u);
+    EXPECT_TRUE(parseUnsigned("0", &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseUnsigned("4294967295", &v));
+    EXPECT_EQ(v, 4294967295u);
+}
+
+TEST(Cli, ParseUnsignedRejectsMalformed)
+{
+    unsigned v = 7;
+    for (const char* bad : {"", "4x", "x4", "-1", "+1", " 4", "4 ",
+                            "garbage", "1.5", "4294967296",
+                            "99999999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(parseUnsigned(bad, &v));
+        EXPECT_EQ(v, 7u); // untouched on failure
+    }
+}
+
+TEST(Cli, ParseUint64Range)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parseUint64("18446744073709551615", &v));
+    EXPECT_EQ(v, ~uint64_t(0));
+    EXPECT_FALSE(parseUint64("18446744073709551616", &v)); // overflow
+    EXPECT_EQ(v, ~uint64_t(0));
+}
+
+TEST(Cli, ParseDouble)
+{
+    double v = -1.0;
+    EXPECT_TRUE(parseDouble("4", &v));
+    EXPECT_EQ(v, 4.0);
+    EXPECT_TRUE(parseDouble("0.25", &v));
+    EXPECT_EQ(v, 0.25);
+    EXPECT_TRUE(parseDouble("1e1", &v));
+    EXPECT_EQ(v, 10.0);
+    for (const char* bad :
+         {"", "x", "4x", " 4", "4 ", "nan", "inf", "1e999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(parseDouble(bad, &v));
+        EXPECT_EQ(v, 10.0);
+    }
+}
+
+TEST(Cli, ParseScale)
+{
+    double v = 1.0;
+    EXPECT_TRUE(parseScale("0.25", &v));
+    EXPECT_EQ(v, 0.25);
+    for (const char* bad : {"0", "-1", "0.0", "abc", ""}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(parseScale(bad, &v));
+        EXPECT_EQ(v, 0.25);
+    }
+}
+
+TEST(Cli, ParseList)
+{
+    std::vector<std::string> v;
+    EXPECT_TRUE(parseList("bfs", &v));
+    EXPECT_EQ(v, std::vector<std::string>{"bfs"});
+    EXPECT_TRUE(parseList("bfs,gaussian", &v));
+    EXPECT_EQ(v, (std::vector<std::string>{"bfs", "gaussian"}));
+    for (const char* bad : {"", ",", "bfs,", ",bfs", "bfs,,gaussian"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(parseList(bad, &v));
+        EXPECT_EQ(v.size(), 2u);
+    }
+}
+
+TEST(Cli, ParseUnsignedList)
+{
+    std::vector<unsigned> v;
+    EXPECT_TRUE(parseUnsignedList("1,2,4", &v));
+    EXPECT_EQ(v, (std::vector<unsigned>{1, 2, 4}));
+    EXPECT_FALSE(parseUnsignedList("1,x", &v));
+    EXPECT_FALSE(parseUnsignedList("1,-2", &v));
+    EXPECT_FALSE(parseUnsignedList("", &v));
+    EXPECT_EQ(v.size(), 3u);
 }
 
 } // namespace

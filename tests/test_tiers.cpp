@@ -7,18 +7,14 @@
  *    architectural results — instruction counts, memory-region profile,
  *    faults, and mechanism detection counters — on the whole Table V
  *    suite and on the full Table III violation matrix;
- *  - functional and sampled runs must stay deterministic across
- *    sim_threads, like the detailed tier's byte-identity guarantee;
- *  - the sampled tier's cycle estimate must fall within the error
- *    bound DESIGN.md documents for the validation schedule;
- *  - the result-cache fingerprint must separate tiers (and sampling
- *    schedules within the sampled tier) so no cross-tier entry is ever
- *    served.
+ *  - functional runs must stay deterministic across sim_threads, like
+ *    the detailed tier's byte-identity guarantee;
+ *  - the result-cache fingerprint must separate tiers so no cross-tier
+ *    entry is ever served, and must stay stable so existing cache
+ *    entries keep hitting.
  */
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "mechanisms/registry.hpp"
 #include "runner/sweep.hpp"
@@ -101,15 +97,6 @@ TEST(TierCrossValidation, FunctionalMatchesDetailedDetectionMatrix)
     }
 }
 
-TEST(TierCrossValidation, SampledMatchesDetailedDetectionMatrix)
-{
-    const SecurityScore det = evaluateMechanism(MechanismKind::Lmi);
-    const SecurityScore samp =
-        evaluateMechanism(MechanismKind::Lmi, ExecutionTier::Sampled);
-    EXPECT_EQ(det.detected, samp.detected);
-    EXPECT_EQ(det.total, samp.total);
-}
-
 TEST(TierCrossValidation, FunctionalDeterministicAcrossSimThreads)
 {
     const WorkloadProfile profile = findWorkload("hotspot");
@@ -125,44 +112,6 @@ TEST(TierCrossValidation, FunctionalDeterministicAcrossSimThreads)
     }
 }
 
-TEST(TierCrossValidation, SampledDeterministicAcrossSimThreads)
-{
-    const WorkloadProfile profile = findWorkload("bfs");
-    const RunResult serial = runTier(profile, MechanismKind::Baseline,
-                                     1.0, ExecutionTier::Sampled, 1);
-    for (const unsigned threads : {2u, 5u}) {
-        SCOPED_TRACE(threads);
-        const RunResult parallel =
-            runTier(profile, MechanismKind::Baseline, 1.0,
-                    ExecutionTier::Sampled, threads);
-        expectArchitecturalMatch(serial, parallel);
-        EXPECT_EQ(serial.cycles, parallel.cycles);
-    }
-}
-
-TEST(TierCrossValidation, SampledEstimateWithinDocumentedBound)
-{
-    // Spot checks of the ctest-sized kind: the full fig12-basket
-    // cross-validation (per-mechanism relative slowdowns at the
-    // validation scale) runs as the CI tier-drift gate; here two
-    // representative cells assert the absolute-estimate bound DESIGN.md
-    // documents for the default schedule at this size.
-    for (const char* name : {"hotspot", "needle"}) {
-        SCOPED_TRACE(name);
-        const WorkloadProfile profile = findWorkload(name);
-        const RunResult det = runTier(profile, MechanismKind::Lmi, 4.0,
-                                      ExecutionTier::Detailed);
-        const RunResult samp = runTier(profile, MechanismKind::Lmi, 4.0,
-                                       ExecutionTier::Sampled);
-        const double err =
-            100.0 *
-            std::abs(double(samp.cycles) - double(det.cycles)) /
-            double(det.cycles);
-        EXPECT_LE(err, 15.0) << "sampled " << samp.cycles
-                             << " vs detailed " << det.cycles;
-    }
-}
-
 TEST(TierCrossValidation, CacheFingerprintSeparatesTiers)
 {
     SweepCell cell;
@@ -174,19 +123,13 @@ TEST(TierCrossValidation, CacheFingerprintSeparatesTiers)
     const uint64_t detailed = cellFingerprint(cell);
     cell.tier = ExecutionTier::Functional;
     const uint64_t functional = cellFingerprint(cell);
-    cell.tier = ExecutionTier::Sampled;
-    const uint64_t sampled = cellFingerprint(cell);
     EXPECT_NE(detailed, functional);
-    EXPECT_NE(detailed, sampled);
-    EXPECT_NE(functional, sampled);
 
-    // The schedule splits sampled entries...
-    cell.sampling.period_slices += 16;
-    EXPECT_NE(cellFingerprint(cell), sampled);
-    // ...but never detailed ones (tweaking sampling params for a
-    // detailed sweep must not orphan the cache).
-    cell.tier = ExecutionTier::Detailed;
-    EXPECT_EQ(cellFingerprint(cell), detailed);
+    // Pinned values: a change to the fingerprint orphans every cache
+    // entry written before it, so it must come with a bump of the
+    // cell format version and a deliberate update here.
+    EXPECT_EQ(detailed, 0x7e4b564be605543eull);
+    EXPECT_EQ(functional, 0x7876ce0b5af13135ull);
 }
 
 } // namespace

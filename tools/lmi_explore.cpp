@@ -60,11 +60,12 @@
  * host), `--cache DIR` points the on-disk result cache (also via
  * LMI_CACHE_DIR; sweeps only re-simulate cells whose
  * workload/mechanism/scale/config/tier fingerprint changed), and
- * `--tier detailed|functional|sampled` selects the execution tier
- * (run, compare, sweep, races --dynamic; see sim/launch_options.hpp —
- * functional skips all timing for speed, sampled interleaves detailed
- * slices with functional fast-forward and extrapolates cycles).
- * Unknown `--flags` are an error: usage goes to stderr, exit code 2.
+ * `--tier detailed|functional` selects the execution tier (run,
+ * compare, sweep, races --dynamic; see sim/launch_options.hpp —
+ * functional skips all timing for speed). Flag values and scales are
+ * parsed strictly (common/cli.hpp): an unknown `--flag` or a malformed
+ * value is an error, usage goes to stderr, exit code 2. `--help` / `-h`
+ * prints usage to stdout and exits 0.
  */
 
 #include <algorithm>
@@ -75,6 +76,7 @@
 #include <thread>
 
 #include "analysis/analysis.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "compiler/codegen.hpp"
 #include "mechanisms/registry.hpp"
@@ -100,8 +102,8 @@ struct GlobalOpts
     std::string cache_dir;
     std::string csv_path;
     std::string json_path;
-    std::string workloads_filter;  ///< comma-separated names
-    std::string mechanisms_filter; ///< comma-separated names
+    std::vector<std::string> workloads;  ///< --workloads; empty = all
+    std::vector<std::string> mechanisms; ///< --mechanisms; empty = all
     std::string severity = "error"; ///< verify exit-code threshold
     bool seeded = false;  ///< races: include race-seeded variants
     bool dynamic = false; ///< races: also run the dynamic sanitizer
@@ -111,8 +113,6 @@ struct GlobalOpts
     ExecutionTier tier = ExecutionTier::Detailed;
     /** True when --tier was given (coverage defaults to both tiers). */
     bool tier_set = false;
-    /** Sampled-tier schedule (--sampling P,W,D[,L]). */
-    SamplingParams sampling;
 };
 
 /** LaunchOptions carrying the globally selected tier. */
@@ -121,61 +121,29 @@ tierOptions(const GlobalOpts& opts)
 {
     LaunchOptions lopts;
     lopts.tier = opts.tier;
-    lopts.sampling = opts.sampling;
     return lopts;
 }
 
-/** Parse "P,W,D[,L]" (period, warmup, detailed, light slices) for
- *  --sampling. L keeps its default when omitted. */
-bool
-parseSampling(const std::string& s, SamplingParams* out)
-{
-    SamplingParams p;
-    const int got =
-        std::sscanf(s.c_str(), "%u,%u,%u,%u", &p.period_slices,
-                    &p.warmup_slices, &p.detailed_slices,
-                    &p.light_slices);
-    if (got < 3 || !p.valid())
-        return false;
-    *out = p;
-    return true;
-}
-
-std::vector<std::string>
-splitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= s.size()) {
-        const size_t comma = s.find(',', start);
-        const size_t end = comma == std::string::npos ? s.size() : comma;
-        if (end > start)
-            out.push_back(s.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
+/** Print usage and return the exit status: stdout and 0 for --help,
+ *  stderr and 2 otherwise. */
 int
-usage()
+usage(bool help = false)
 {
-    // Usage goes to stderr: an unknown subcommand is an error, and a
-    // pipeline consuming stdout must not see the help text as data.
-    // This is the single authoritative listing — every subcommand with
-    // its flags, in dispatch order.
+    // Usage goes to stderr on errors: an unknown subcommand is an
+    // error, and a pipeline consuming stdout must not see the help text
+    // as data. This is the single authoritative listing — every
+    // subcommand with its flags, in dispatch order.
     std::fprintf(
-        stderr,
+        help ? stdout : stderr,
         "usage:\n"
         "  lmi_explore list\n"
         "  lmi_explore run <workload> <mechanism> [scale]\n"
-        "              [--sim-threads N] [--tier T] [--sampling P,W,D[,L]]\n"
+        "              [--sim-threads N] [--tier T]\n"
         "  lmi_explore compare <workload> [scale] [--jobs N]\n"
         "              [--sim-threads N] [--tier T]\n"
         "  lmi_explore sweep [scale] [--jobs N] [--sim-threads N]\n"
         "              [--workloads a,b] [--mechanisms m1,m2]\n"
-        "              [--cache DIR] [--tier T] [--sampling P,W,D[,L]]\n"
+        "              [--cache DIR] [--tier T]\n"
         "              [--csv FILE] [--json FILE]\n"
         "  lmi_explore disasm <workload> <mechanism>\n"
         "  lmi_explore trace <workload> <mechanism> [events]\n"
@@ -189,17 +157,17 @@ usage()
         "              [--csv FILE] [--json FILE]\n"
         "  lmi_explore churn [scale] [--workloads s1,s2] [--json FILE]\n"
         "global flags: --jobs N (0 = all cores), --sim-threads N,\n"
-        "              --cache DIR, --tier detailed|functional|sampled,\n"
-        "              --sampling P,W,D[,L] (sampled-tier schedule)\n"
+        "              --cache DIR, --tier detailed|functional,\n"
+        "              --help\n"
         "  --jobs runs whole cells in parallel; --sim-threads\n"
         "  parallelizes SM execution inside each launch (results are\n"
         "  byte-identical; jobs x sim-threads is clamped to the host\n"
-        "  cores); --tier trades timing fidelity for speed (functional\n"
-        "  skips the timing model, sampled extrapolates cycles from\n"
-        "  periodic detailed slices); coverage defaults to the\n"
-        "  detailed+functional tier pair unless --tier narrows it\n"
-        "unknown --flags exit 2 with this usage on stderr\n");
-    return 2;
+        "  cores); --tier functional skips the timing model for\n"
+        "  speed; coverage defaults to the detailed+functional tier\n"
+        "  pair unless --tier narrows it\n"
+        "unknown --flags and malformed values exit 2 with this usage\n"
+        "on stderr\n");
+    return help ? 0 : 2;
 }
 
 int
@@ -263,12 +231,6 @@ cmdRun(const std::string& workload, MechanismKind kind, double scale,
     table.addRow({"peak reserved (host allocs)",
                   std::to_string(run.peak_reserved / 1024) + " KiB"});
     table.addRow({"faults", std::to_string(r.faults.size())});
-    if (opts.tier == ExecutionTier::Sampled) {
-        table.addRow({"sampled CPI",
-                      fmtF(r.stats.gauge("sim.sampled.cpi"), 4)});
-        table.addRow({"sampled ci95",
-                      fmtPct(r.stats.gauge("sim.sampled.ci95_rel_pct"))});
-    }
     std::printf("%s", table.render().c_str());
 
     if (dev.stats().counter("ocu.checks") ||
@@ -300,7 +262,6 @@ cmdCompare(const std::string& workload, double scale,
         spec.mechanisms.push_back(kind);
     spec.scales = {scale};
     spec.tier = opts.tier;
-    spec.sampling = opts.sampling;
     spec.jobs = opts.jobs;
     spec.sim_threads = opts.sim_threads;
     spec.cache_dir = opts.cache_dir;
@@ -333,14 +294,14 @@ int
 cmdSweep(double scale, const GlobalOpts& opts)
 {
     SweepSpec spec;
-    if (!opts.workloads_filter.empty()) {
-        spec.workloads = splitCommas(opts.workloads_filter);
+    if (!opts.workloads.empty()) {
+        spec.workloads = opts.workloads;
     } else {
         for (const auto& profile : workloadSuite())
             spec.workloads.push_back(profile.name);
     }
-    if (!opts.mechanisms_filter.empty()) {
-        for (const std::string& name : splitCommas(opts.mechanisms_filter)) {
+    if (!opts.mechanisms.empty()) {
+        for (const std::string& name : opts.mechanisms) {
             MechanismKind kind;
             if (!mechanismFromName(name, &kind)) {
                 std::fprintf(stderr, "error: unknown mechanism %s\n",
@@ -356,7 +317,6 @@ cmdSweep(double scale, const GlobalOpts& opts)
     }
     spec.scales = {scale};
     spec.tier = opts.tier;
-    spec.sampling = opts.sampling;
     spec.jobs = opts.jobs;
     spec.sim_threads = opts.sim_threads;
     spec.cache_dir = opts.cache_dir;
@@ -504,8 +464,8 @@ cmdVerify(const GlobalOpts& opts)
     }
 
     std::vector<std::string> names;
-    if (!opts.workloads_filter.empty())
-        names = splitCommas(opts.workloads_filter);
+    if (!opts.workloads.empty())
+        names = opts.workloads;
     else
         for (const auto& profile : workloadSuite())
             names.push_back(profile.name);
@@ -602,8 +562,8 @@ cmdRaces(const GlobalOpts& opts)
         RaceSeed seed = RaceSeed::None;
     };
     std::vector<Item> items;
-    if (!opts.workloads_filter.empty()) {
-        for (const std::string& name : splitCommas(opts.workloads_filter))
+    if (!opts.workloads.empty()) {
+        for (const std::string& name : opts.workloads)
             items.push_back({name, findWorkload(name), RaceSeed::None});
     } else {
         for (const auto& profile : workloadSuite())
@@ -797,7 +757,7 @@ int
 cmdCoverage(const GlobalOpts& opts)
 {
     std::vector<MechanismKind> mechanisms;
-    for (const std::string& name : splitCommas(opts.mechanisms_filter)) {
+    for (const std::string& name : opts.mechanisms) {
         MechanismKind kind;
         if (!mechanismFromName(name, &kind)) {
             std::fprintf(stderr, "error: unknown mechanism %s\n",
@@ -871,12 +831,11 @@ int
 cmdChurn(double scale, const GlobalOpts& opts)
 {
     std::vector<ChurnSpec> specs;
-    if (opts.workloads_filter.empty()) {
+    if (opts.workloads.empty()) {
         for (const ChurnSpec& s : churnBasket())
             specs.push_back(scaleChurnSpec(s, scale));
     } else {
-        for (const std::string& name :
-             splitCommas(opts.workloads_filter))
+        for (const std::string& name : opts.workloads)
             specs.push_back(scaleChurnSpec(findChurnSpec(name), scale));
     }
 
@@ -929,6 +888,32 @@ cmdChurn(double scale, const GlobalOpts& opts)
     return bad ? 1 : 0;
 }
 
+/** Report a malformed flag value; @return usage()'s exit status 2. */
+int
+badValue(const std::string& what, const std::string& value,
+         const char* expected)
+{
+    std::fprintf(stderr, "error: bad %s '%s' (expected %s)\n",
+                 what.c_str(), value.c_str(), expected);
+    return usage();
+}
+
+/** Optional positional scale at args[@p idx] (@p def when absent).
+ *  @return false after reporting a value that is not a positive
+ *  number. */
+bool
+scaleArg(const std::vector<std::string>& args, size_t idx, double def,
+         double* out)
+{
+    *out = def;
+    if (idx >= args.size())
+        return true;
+    if (parseScale(args[idx], out))
+        return true;
+    badValue("scale", args[idx], "a positive number");
+    return false;
+}
+
 } // namespace
 
 int
@@ -950,53 +935,51 @@ main(int argc, char** argv)
             return true;
         };
         std::string value;
-        if (flagValue("--jobs", &value))
-            opts.jobs = unsigned(std::atoi(value.c_str()));
-        else if (flagValue("--sim-threads", &value))
-            opts.sim_threads = unsigned(std::atoi(value.c_str()));
-        else if (flagValue("--tier", &value)) {
+        if (arg == "--help" || arg == "-h") {
+            return usage(true);
+        } else if (flagValue("--jobs", &value) ||
+                   flagValue("--sim-threads", &value)) {
+            unsigned* dst =
+                arg == "--jobs" ? &opts.jobs : &opts.sim_threads;
+            if (!parseUnsigned(value, dst))
+                return badValue(arg, value, "an unsigned integer");
+        } else if (flagValue("--tier", &value)) {
             opts.tier_set = true;
-            if (!parseExecutionTier(value, &opts.tier)) {
-                std::fprintf(stderr,
-                             "error: unknown tier %s (expected "
-                             "detailed|functional|sampled)\n",
-                             value.c_str());
-                return usage();
-            }
-        } else if (flagValue("--sampling", &value)) {
-            if (!parseSampling(value, &opts.sampling)) {
-                std::fprintf(stderr,
-                             "error: bad --sampling %s (expected "
-                             "P,W,D[,L] with W+D+L <= P, D >= 1)\n",
-                             value.c_str());
-                return usage();
-            }
+            if (!parseExecutionTier(value, &opts.tier))
+                return badValue(arg, value, "detailed|functional");
+        } else if (flagValue("--workloads", &value) ||
+                   flagValue("--mechanisms", &value)) {
+            auto* dst = arg == "--workloads" ? &opts.workloads
+                                             : &opts.mechanisms;
+            if (!parseList(value, dst))
+                return badValue(arg, value,
+                                "a comma-separated list of names");
         } else if (flagValue("--cache", &opts.cache_dir) ||
                    flagValue("--csv", &opts.csv_path) ||
                    flagValue("--json", &opts.json_path) ||
-                   flagValue("--workloads", &opts.workloads_filter) ||
-                   flagValue("--mechanisms", &opts.mechanisms_filter) ||
-                   flagValue("--severity", &opts.severity))
-            ;
-        else if (flagValue("--bound", &value))
-            opts.bound = uint64_t(std::atoll(value.c_str()));
-        else if (arg == "--seeded")
+                   flagValue("--severity", &opts.severity)) {
+        } else if (flagValue("--bound", &value)) {
+            if (!parseUint64(value, &opts.bound))
+                return badValue(arg, value, "an unsigned integer");
+        } else if (arg == "--seeded") {
             opts.seeded = true;
-        else if (arg == "--dynamic")
+        } else if (arg == "--dynamic") {
             opts.dynamic = true;
-        else if (arg.rfind("--", 0) == 0) {
+        } else if (arg.rfind("--", 0) == 0) {
             // An unrecognized flag must not fall through to the
             // positionals: it would silently reparse as a workload or
             // scale. Reject loudly, usage on stderr.
             std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
             return usage();
-        } else
+        } else {
             args.push_back(arg);
+        }
     }
 
     if (args.empty())
         return usage();
     const std::string cmd = args[0];
+    double scale = 0.0;
     try {
         if (cmd == "list")
             return cmdList();
@@ -1004,20 +987,20 @@ main(int argc, char** argv)
             MechanismKind kind;
             if (!mechanismFromName(args[2], &kind))
                 return usage();
-            return cmdRun(args[1], kind,
-                          args.size() > 3 ? std::atof(args[3].c_str())
-                                          : 0.5,
-                          opts);
+            if (!scaleArg(args, 3, 0.5, &scale))
+                return 2;
+            return cmdRun(args[1], kind, scale, opts);
         }
-        if (cmd == "compare" && args.size() >= 2)
-            return cmdCompare(args[1],
-                              args.size() > 2 ? std::atof(args[2].c_str())
-                                              : 0.5,
-                              opts);
-        if (cmd == "sweep")
-            return cmdSweep(args.size() > 1 ? std::atof(args[1].c_str())
-                                            : 0.5,
-                            opts);
+        if (cmd == "compare" && args.size() >= 2) {
+            if (!scaleArg(args, 2, 0.5, &scale))
+                return 2;
+            return cmdCompare(args[1], scale, opts);
+        }
+        if (cmd == "sweep") {
+            if (!scaleArg(args, 1, 0.5, &scale))
+                return 2;
+            return cmdSweep(scale, opts);
+        }
         if (cmd == "disasm" && args.size() >= 3) {
             MechanismKind kind;
             if (!mechanismFromName(args[2], &kind))
@@ -1028,10 +1011,11 @@ main(int argc, char** argv)
             MechanismKind kind;
             if (!mechanismFromName(args[2], &kind))
                 return usage();
-            return cmdTrace(args[1], kind,
-                            args.size() > 3
-                                ? size_t(std::atoll(args[3].c_str()))
-                                : 20);
+            uint64_t events = 20;
+            if (args.size() > 3 && !parseUint64(args[3], &events))
+                return badValue("event count", args[3],
+                                "an unsigned integer");
+            return cmdTrace(args[1], kind, size_t(events));
         }
         if (cmd == "verify")
             return cmdVerify(opts);
@@ -1041,10 +1025,11 @@ main(int argc, char** argv)
             return cmdCheck(args.size() > 1 ? args[1] : "", opts);
         if (cmd == "coverage")
             return cmdCoverage(opts);
-        if (cmd == "churn")
-            return cmdChurn(args.size() > 1 ? std::atof(args[1].c_str())
-                                            : 1.0,
-                            opts);
+        if (cmd == "churn") {
+            if (!scaleArg(args, 1, 1.0, &scale))
+                return 2;
+            return cmdChurn(scale, opts);
+        }
         if (cmd == "security" && args.size() >= 2) {
             MechanismKind kind;
             if (!mechanismFromName(args[1], &kind))
