@@ -25,22 +25,25 @@ main()
     bench::banner("Ablation (XII-C)", "pointer-liveness tracking");
 
     // --- Detection delta on the temporal suite -----------------------
+    // Each case's lmi cell is followed by its lmi+liveness cell.
+    const CoverageMatrix matrix =
+        runCoverage({MechanismKind::Lmi, MechanismKind::LmiLiveness},
+                    {ExecutionTier::Detailed});
     TextTable detect({"case", "lmi", "lmi+liveness"});
-    for (const ViolationCase& vcase : violationSuite()) {
-        if (isSpatialCategory(vcase.category))
+    for (size_t i = 0; i + 1 < matrix.cells.size(); i += 2) {
+        const CoverageCell& base = matrix.cells[i];
+        const CoverageCell& ext = matrix.cells[i + 1];
+        if (!base.category || isSpatialCategory(*base.category))
             continue;
-        Device base_dev(makeMechanism(MechanismKind::Lmi));
-        Device ext_dev(makeMechanism(MechanismKind::LmiLiveness));
-        const CaseOutcome base = vcase.run(base_dev);
-        const CaseOutcome ext = vcase.run(ext_dev);
-        detect.addRow({vcase.id, base.detected() ? "DETECTED" : "missed",
-                       ext.detected() ? "DETECTED" : "missed"});
+        detect.addRow({base.attack, base.detected ? "DETECTED" : "missed",
+                       ext.detected ? "DETECTED" : "missed"});
     }
     std::printf("%s\n", detect.render().c_str());
 
-    const SecurityScore base_score = evaluateMechanism(MechanismKind::Lmi);
+    const SecurityScore base_score =
+        tallySecurity(matrix, MechanismKind::Lmi);
     const SecurityScore ext_score =
-        evaluateMechanism(MechanismKind::LmiLiveness);
+        tallySecurity(matrix, MechanismKind::LmiLiveness);
     bench::compare("temporal coverage (base LMI)", 75.0,
                    100.0 * base_score.temporalDetected() /
                        base_score.temporalTotal(), "%");

@@ -26,7 +26,7 @@
 
 #include "bench_util.hpp"
 #include "mechanisms/registry.hpp"
-#include "security/violations.hpp"
+#include "security/coverage.hpp"
 #include "sim/device.hpp"
 #include "workloads/workloads.hpp"
 
@@ -128,24 +128,29 @@ main(int argc, char** argv)
                     "stock LMI\n", mismatches);
 
     // --- Detection equivalence (Table III replay). --------------------
-    const std::vector<ViolationCase>& suite = violationSuite();
-    unsigned lmi_detected = 0, elide_detected = 0, regressions = 0;
-    for (const ViolationCase& c : suite) {
-        Device lmi_dev(makeMechanism(MechanismKind::Lmi));
-        Device elide_dev(makeMechanism(MechanismKind::LmiElide));
-        const bool lmi_hit = c.run(lmi_dev).detected();
-        const bool elide_hit = c.run(elide_dev).detected();
-        lmi_detected += lmi_hit;
-        elide_detected += elide_hit;
-        if (lmi_hit && !elide_hit) {
+    // Each case's lmi cell is followed by its lmi+elide cell.
+    const CoverageMatrix matrix =
+        runCoverage({MechanismKind::Lmi, MechanismKind::LmiElide},
+                    {ExecutionTier::Detailed});
+    unsigned cases = 0, lmi_detected = 0, elide_detected = 0,
+             regressions = 0;
+    for (size_t i = 0; i + 1 < matrix.cells.size(); i += 2) {
+        const CoverageCell& lmi_cell = matrix.cells[i];
+        const CoverageCell& elide_cell = matrix.cells[i + 1];
+        if (!lmi_cell.category)
+            continue;
+        ++cases;
+        lmi_detected += lmi_cell.detected;
+        elide_detected += elide_cell.detected;
+        if (lmi_cell.detected && !elide_cell.detected) {
             ++regressions;
-            std::printf("  DETECTION REGRESSION: %s\n", c.id.c_str());
+            std::printf("  DETECTION REGRESSION: %s\n",
+                        lmi_cell.attack.c_str());
         }
     }
-    std::printf("\n  violation suite: lmi %u/%zu, lmi+elide %u/%zu "
+    std::printf("\n  violation suite: lmi %u/%u, lmi+elide %u/%u "
                 "(%u regressions)\n",
-                lmi_detected, suite.size(), elide_detected, suite.size(),
-                regressions);
+                lmi_detected, cases, elide_detected, cases, regressions);
     std::printf("\nProven-safe checks are elided only when the checked "
                 "result is bit-identical to the unchecked one, so every "
                 "violation the OCU catches dynamically remains caught: "

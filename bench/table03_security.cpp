@@ -1,10 +1,10 @@
 /**
  * @file
- * Table III: security-coverage evaluation. Runs the 38-case violation
- * suite under GMOD, GPUShield, cuCatch, and LMI (detection emerges from
- * each mechanism's semantics) and prints the detection matrix plus the
- * spatial/temporal coverage rows, with the §XII-C liveness extension as
- * an extra column.
+ * Table III: security-coverage evaluation. Runs the coverage matrix
+ * under GMOD, GPUShield, cuCatch, and LMI (detection emerges from each
+ * mechanism's semantics) and prints its 38 Table III cases as the
+ * detection matrix plus the spatial/temporal coverage rows, with the
+ * §XII-C liveness extension as an extra column.
  */
 
 #include <cstdio>
@@ -24,9 +24,11 @@ main()
         MechanismKind::CuCatch, MechanismKind::Lmi,
         MechanismKind::LmiLiveness};
 
+    const CoverageMatrix matrix =
+        runCoverage(mechanisms, {ExecutionTier::Detailed});
     std::vector<SecurityScore> scores;
     for (MechanismKind kind : mechanisms)
-        scores.push_back(evaluateMechanism(kind));
+        scores.push_back(tallySecurity(matrix, kind));
 
     std::vector<std::string> header = {"violation test", "total"};
     for (MechanismKind kind : mechanisms)
@@ -82,13 +84,12 @@ main()
                    100.0 * cucatch.spatialDetected() /
                        cucatch.spatialTotal(), "%");
     std::printf("\nPer-case detail (LMI):\n");
-    for (const ViolationCase& vcase : violationSuite()) {
-        Device dev(makeMechanism(MechanismKind::Lmi));
-        const CaseOutcome outcome = vcase.run(dev);
-        std::printf("  %-40s %s%s\n", vcase.id.c_str(),
-                    outcome.detected() ? "DETECTED" : "missed",
-                    outcome.compile_rejected ? " (compile-time, XII-B)"
-                                             : "");
+    for (const CoverageCell& c : matrix.cells) {
+        if (!c.category || c.mechanism != MechanismKind::Lmi)
+            continue;
+        std::printf("  %-40s %s%s\n", c.attack.c_str(),
+                    c.detected ? "DETECTED" : "missed",
+                    c.compile_rejected ? " (compile-time, XII-B)" : "");
     }
     return 0;
 }

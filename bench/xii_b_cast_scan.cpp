@@ -7,16 +7,17 @@
  * (zero casts), 111 CUDA samples (three, all in inlined cooperative-
  * group code), and 46 FasterTransformer files (one, trivially fixable).
  * This harness runs the same scan over every kernel corpus in this
- * repository: the 28 Table V workload kernels and the 38-case security
- * suite's kernels (where the cross-frame attack cases intentionally
- * use the casts — the kernels LMI is SUPPOSED to reject).
+ * repository: the 28 Table V workload kernels and the 38 Table III
+ * cases of the security corpus (where the cross-frame attack cases
+ * intentionally use the casts — the kernels LMI is SUPPOSED to
+ * reject).
  */
 
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "ir/ir.hpp"
-#include "security/violations.hpp"
+#include "security/coverage.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace lmi;
@@ -84,13 +85,15 @@ main()
     // Count how many of the 38 violation kernels LMI's compiler rejects:
     // exactly the cross-frame laundering attacks, nothing else.
     unsigned rejected = 0, cases_run = 0;
-    for (const ViolationCase& vcase : violationSuite()) {
-        Device dev(makeMechanism(MechanismKind::Lmi));
-        const CaseOutcome outcome = vcase.run(dev);
+    for (const CoverageCell& c :
+         runCoverage({MechanismKind::Lmi}, {ExecutionTier::Detailed})
+             .cells) {
+        if (!c.category)
+            continue;
         ++cases_run;
-        if (outcome.compile_rejected) {
+        if (c.compile_rejected) {
             ++rejected;
-            std::printf("compile-time rejection: %s\n", vcase.id.c_str());
+            std::printf("compile-time rejection: %s\n", c.attack.c_str());
         }
     }
     std::printf("%u of %u violation cases are stopped at compile time "

@@ -44,10 +44,6 @@ analyzeFunction(const ir::IrFunction& f, const AnalysisOptions& opts)
 
     LintOptions lopts;
     lopts.codec = opts.codec;
-    // The oracle's temporal automaton is CFG-exact where the lint
-    // heuristic is dominance-approximate; don't report the same UAF
-    // twice at different precision.
-    lopts.defer_temporal = opts.level == AnalysisLevel::Oracle;
     auto lint = lintFunction(f, lopts);
     report.diagnostics.insert(report.diagnostics.end(), lint.begin(),
                               lint.end());

@@ -28,9 +28,9 @@
  *           (safety_oracle.hpp): every memory access is classified
  *           {ProvenSafe, SpatialOOB, SubObjectOOB, TemporalUAF,
  *           Unknown}, proven violations surface as
- *           Severity::Violation diagnostics, and the lint pass defers
- *           its weaker use-after-invalidate heuristic to the oracle's
- *           CFG-exact temporal automaton.
+ *           Severity::Violation diagnostics; the oracle's CFG-exact
+ *           temporal automaton is the one source of use-after-free
+ *           verdicts.
  */
 
 #pragma once

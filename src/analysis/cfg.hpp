@@ -2,7 +2,7 @@
  * @file
  * Control-flow graph and dominator tree over the kernel IR, shared by
  * the verifier (SSA dominance checking), the range analysis (reverse
- * postorder iteration) and the lint pass (use-after-invalidate).
+ * postorder iteration), the race analyzer and the safety oracle.
  *
  * Construction is robust against malformed input: blocks without a
  * terminator contribute no edges and out-of-range branch targets are

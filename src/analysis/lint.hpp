@@ -3,12 +3,9 @@
  * LMI-specific lint pass: findings that are legal IR but defeat or
  * weaken the protection the mechanism is supposed to provide.
  *
- * Rules:
+ * Rules (temporal findings belong to the safety oracle,
+ * safety_oracle.hpp):
  *
- *  - use-after-invalidate: a pointer is used at a point dominated by
- *    the free()/scope-end that nullified its extent — every such use
- *    dereferences (or derives from) a dead-extent pointer and will
- *    fault at run time;
  *  - phi-mixes-allocations: a pointer phi merges values deriving from
  *    distinct allocation sites, so no single extent describes the
  *    merged value and the range analysis can never elide its checks;
@@ -30,13 +27,6 @@ namespace lmi::analysis {
 struct LintOptions
 {
     PointerCodec codec{};
-    /**
-     * Skip the use-after-invalidate heuristic: the safety oracle
-     * (safety_oracle.hpp) is running in the same pipeline and proves
-     * temporal violations CFG-exactly, so the dominance-based
-     * approximation here would only duplicate (or contradict) it.
-     */
-    bool defer_temporal = false;
 };
 
 std::vector<Diagnostic> lintFunction(const ir::IrFunction& f,

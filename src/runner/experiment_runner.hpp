@@ -8,8 +8,8 @@
  *    work-stealing job queue, per-job wall-clock capture, an advisory
  *    per-job timeout, and failure capture — a throwing job is recorded
  *    in its JobOutcome, never fatal to the batch. Anything shaped like
- *    "run these N independent experiments" (the security suite, custom
- *    harnesses) can use it directly.
+ *    "run these N independent experiments" (the security coverage
+ *    matrix, custom harnesses) can use it directly.
  *
  *  - runSweep() maps a SweepSpec onto that pool: one job per grid cell,
  *    each constructing a fully isolated Device/GpuSim/SparseMemory
@@ -22,8 +22,12 @@
  * StatRegistry) lives inside the per-job Device; the only process-wide
  * mutable state in the library is the logging verbosity flag (atomic,
  * presentation-only) and C++11-thread-safe function-local statics for
- * the immutable workload/violation suites. tests/test_runner.cpp
- * enforces this by byte-comparing serial and parallel sweep payloads.
+ * the immutable workload suite and security corpus. Per-launch choices
+ * such as the execution tier travel in LaunchOptions, never in
+ * globals. tests/test_runner.cpp enforces this by byte-comparing
+ * serial and parallel sweep payloads; Security.*
+ * (ConcurrentEvaluationsMatchSerial) runs two coverage matrices on
+ * different tiers at once.
  */
 
 #pragma once

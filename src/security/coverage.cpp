@@ -1,10 +1,13 @@
 #include "security/coverage.hpp"
 
+#include <functional>
 #include <map>
 #include <sstream>
 
+#include "common/logging.hpp"
 #include "common/table.hpp"
 #include "compiler/codegen.hpp"
+#include "runner/experiment_runner.hpp"
 #include "sim/device.hpp"
 
 namespace lmi {
@@ -23,6 +26,8 @@ struct StaticVerdict
 StaticVerdict
 oracleVerdict(const AttackScenario& scenario, bool benign)
 {
+    if (scenario.kernel.empty())
+        return {}; // host-only: no kernel to classify
     const ir::IrModule m = scenario.build(benign);
     const ir::IrFunction flat =
         inlineCalls(m, *m.find(scenario.kernel));
@@ -47,26 +52,35 @@ oracleVerdict(const AttackScenario& scenario, bool benign)
     return v;
 }
 
-/** Dynamic half: compile + run under one mechanism on one tier. */
+/** Dynamic half: on a fresh Device under the cell's mechanism, the
+ *  case's host setup, then compile + launch on the cell's tier. */
 void
-runDynamic(const AttackScenario& scenario, bool benign,
-           MechanismKind kind, ExecutionTier tier, CoverageCell* cell)
+runCell(const AttackScenario& scenario, CoverageCell* cell)
 {
-    const ir::IrModule m = scenario.build(benign);
-    Device dev(makeMechanism(kind));
-    try {
-        const CompiledKernel ck = dev.compile(m, scenario.kernel);
-        LaunchOptions opts;
-        opts.tier = tier;
-        const RunResult r =
-            dev.launch(ck, scenario.grid, scenario.block, {}, opts);
-        if (!r.faults.empty())
-            cell->fault = faultKindName(r.faults.front().kind);
-        cell->detected = !r.faults.empty();
-    } catch (const CompileError&) {
-        cell->compile_rejected = true;
-        cell->detected = true;
+    Device dev(makeMechanism(cell->mechanism));
+    std::vector<uint64_t> params;
+    MaybeFault fault;
+    if (scenario.setup)
+        fault = scenario.setup(dev, &params);
+    if (!fault && !scenario.kernel.empty()) {
+        const ir::IrModule m = scenario.build(cell->benign);
+        try {
+            const CompiledKernel ck = dev.compile(m, scenario.kernel);
+            LaunchOptions opts;
+            opts.tier = cell->tier;
+            opts.dynamic_shared_bytes = scenario.dynamic_shared_bytes;
+            const RunResult r = dev.launch(ck, scenario.grid,
+                                           scenario.block, std::move(params),
+                                           opts);
+            if (!r.faults.empty())
+                fault = r.faults.front();
+        } catch (const CompileError&) {
+            cell->compile_rejected = true;
+        }
     }
+    if (fault)
+        cell->fault = faultKindName(fault->kind);
+    cell->detected = cell->compile_rejected || fault.has_value();
 }
 
 std::string
@@ -98,17 +112,6 @@ CoverageMatrix::disagreements() const
     size_t n = 0;
     for (const CoverageCell& c : cells)
         n += !c.disagreement.empty();
-    return n;
-}
-
-size_t
-CoverageMatrix::detectedCount(MechanismKind kind,
-                              ExecutionTier tier) const
-{
-    size_t n = 0;
-    for (const CoverageCell& c : cells)
-        n += !c.benign && c.mechanism == kind && c.tier == tier &&
-             c.detected;
     return n;
 }
 
@@ -211,25 +214,54 @@ runCoverage(std::vector<MechanismKind> mechanisms,
     if (tiers.empty())
         tiers = {ExecutionTier::Detailed, ExecutionTier::Functional};
 
+    // One row per (case, variant); its mechanism x tier cells follow
+    // each other in the matrix. Every oracle query and every cell is
+    // one pool job writing only its own slot.
+    struct Row
+    {
+        const AttackScenario* scenario;
+        bool benign;
+        StaticVerdict verdict;
+    };
+    std::vector<Row> rows;
     CoverageMatrix matrix;
     for (const AttackScenario& scenario : attackSuite()) {
         for (bool benign : {false, true}) {
-            const StaticVerdict sv = oracleVerdict(scenario, benign);
+            if (benign && scenario.category)
+                continue; // Table III cases have no benign twins yet
+            rows.push_back({&scenario, benign, {}});
             for (MechanismKind kind : mechanisms) {
                 for (ExecutionTier tier : tiers) {
-                    CoverageCell cell;
+                    CoverageCell& cell = matrix.cells.emplace_back();
                     cell.attack = scenario.name;
                     cell.benign = benign;
                     cell.mechanism = kind;
                     cell.tier = tier;
-                    cell.oracle = sv.planted;
-                    cell.oracle_all_safe = sv.all_safe;
-                    runDynamic(scenario, benign, kind, tier, &cell);
-                    cell.disagreement = checkAgreement(cell, scenario);
-                    matrix.cells.push_back(std::move(cell));
+                    cell.category = scenario.category;
                 }
             }
         }
+    }
+    const size_t row_cells = mechanisms.size() * tiers.size();
+    std::vector<std::function<void()>> jobs;
+    for (Row& row : rows)
+        jobs.push_back([&row] {
+            row.verdict = oracleVerdict(*row.scenario, row.benign);
+        });
+    for (size_t i = 0; i < matrix.cells.size(); ++i)
+        jobs.push_back([&, i] {
+            runCell(*rows[i / row_cells].scenario, &matrix.cells[i]);
+        });
+    for (const auto& outcome : ExperimentRunner({}).run(jobs))
+        if (!outcome.ok)
+            throw FatalError("coverage job failed: " + outcome.error);
+
+    for (size_t i = 0; i < matrix.cells.size(); ++i) {
+        const Row& row = rows[i / row_cells];
+        CoverageCell& cell = matrix.cells[i];
+        cell.oracle = row.verdict.planted;
+        cell.oracle_all_safe = row.verdict.all_safe;
+        cell.disagreement = checkAgreement(cell, *row.scenario);
     }
     return matrix;
 }

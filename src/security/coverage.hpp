@@ -1,14 +1,18 @@
 /**
  * @file
- * Differential detection-coverage harness: every registry mechanism x
- * every attack scenario x both engine tiers, cross-checked against the
- * static safety oracle.
+ * Differential detection-coverage harness, the one runner of the
+ * security corpus (workloads/attacks.hpp): every registry mechanism x
+ * every case x both engine tiers, cross-checked against the static
+ * safety oracle. Table III (security/violations.hpp) is a tally over
+ * the cells of the corpus's Table III cases.
  *
- * For each (scenario, variant) the oracle classifies every access of
- * the flattened kernel once — a tier-free static fact. Each
- * (mechanism, tier) cell then compiles and runs the same kernel
- * dynamically; a raised fault or a compiler rejection counts as
- * detected, exactly like the Table III suite.
+ * For each (case, variant) the oracle classifies every access of the
+ * flattened kernel once — a tier-free static fact. Each (mechanism,
+ * tier) cell then runs the case on a fresh Device: host setup, compile,
+ * launch on the cell's tier. A raised fault (a runtime free error
+ * included) or a compiler rejection counts as detected. Cells run
+ * concurrently on an ExperimentRunner pool and come back in canonical
+ * order.
  *
  * The cross-check asserts agreement wherever the oracle *proved*
  * something:
@@ -16,9 +20,11 @@
  *  - a benign twin the oracle proves fully safe must neither fault nor
  *    be rejected under any mechanism on any tier;
  *  - a benign twin the oracle fails to fully prove is itself a
- *    disagreement (the suite is constructed to be provable);
- *  - an attack variant must contain an access with the scenario's
- *    expected violation verdict.
+ *    disagreement (the twins are constructed to be provable);
+ *  - an attack variant must contain an access with the case's
+ *    expected verdict. Cases whose expected verdict is Unknown
+ *    (parameter-indexed, host-side and free-error cases, where the
+ *    oracle proves nothing) always agree.
  *
  * An attack a mechanism does *not* detect is a coverage gap, not a
  * disagreement — recording those gaps per mechanism is the matrix's
@@ -29,6 +35,7 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,13 +46,15 @@
 
 namespace lmi {
 
-/** One (scenario, variant, mechanism, tier) cell of the matrix. */
+/** One (case, variant, mechanism, tier) cell of the matrix. */
 struct CoverageCell
 {
     std::string attack;
     bool benign = false;
     MechanismKind mechanism = MechanismKind::Baseline;
     ExecutionTier tier = ExecutionTier::Detailed;
+    /** The case's Table III row, if it has one. */
+    std::optional<ViolationCategory> category;
 
     /** Oracle verdict of the scenario's planted access (attack
      *  variants) or ProvenSafe/Unknown summary (benign twins). */
@@ -68,12 +77,10 @@ struct CoverageMatrix
     std::vector<CoverageCell> cells;
 
     size_t disagreements() const;
-    /** Detected attack cells for @p kind on @p tier. */
-    size_t detectedCount(MechanismKind kind, ExecutionTier tier) const;
 
     std::string renderCsv() const;
     std::string renderJson() const;
-    /** Compact per-tier tables: scenarios x mechanisms. */
+    /** Compact per-tier tables: cases x mechanisms. */
     std::string renderTable() const;
 };
 
@@ -81,9 +88,11 @@ struct CoverageMatrix
 inline constexpr int kCoverageSchemaVersion = 1;
 
 /**
- * Run the full matrix: every scenario (attack + benign twin) under
- * every mechanism in @p mechanisms on every tier in @p tiers. Empty
- * vectors default to allMechanisms() and {Detailed, Functional}.
+ * Run the full matrix: every case (attack and, where it has one, its
+ * benign twin) under every mechanism in @p mechanisms on every tier in
+ * @p tiers, on a default-sized ExperimentRunner pool. Empty vectors
+ * default to allMechanisms() and {Detailed, Functional}. A cell that
+ * throws anything but a CompileError aborts the run with FatalError.
  */
 CoverageMatrix runCoverage(std::vector<MechanismKind> mechanisms = {},
                            std::vector<ExecutionTier> tiers = {});

@@ -1,690 +1,65 @@
 #include "security/violations.hpp"
 
-#include "arch/mem_map.hpp"
-#include "common/logging.hpp"
-#include "ir/builder.hpp"
-
 namespace lmi {
-
-using namespace ir;
-
-const char*
-violationCategoryName(ViolationCategory category)
-{
-    switch (category) {
-      case ViolationCategory::GlobalOoB:     return "Global OoB";
-      case ViolationCategory::HeapOoB:       return "Heap OoB";
-      case ViolationCategory::LocalOoB:      return "Local OoB";
-      case ViolationCategory::SharedOoB:     return "Shared OoB";
-      case ViolationCategory::IntraOoB:      return "Intra OoB";
-      case ViolationCategory::UseAfterFree:  return "UAF";
-      case ViolationCategory::UseAfterScope: return "UAS";
-      case ViolationCategory::InvalidFree:   return "Invalid free";
-      case ViolationCategory::DoubleFree:    return "Double free";
-    }
-    return "?";
-}
-
-bool
-isSpatialCategory(ViolationCategory category)
-{
-    switch (category) {
-      case ViolationCategory::GlobalOoB:
-      case ViolationCategory::HeapOoB:
-      case ViolationCategory::LocalOoB:
-      case ViolationCategory::SharedOoB:
-      case ViolationCategory::IntraOoB:
-        return true;
-      default:
-        return false;
-    }
-}
 
 namespace {
 
-/** Tier every case launch runs on — set for the duration of an
- *  evaluateMechanism() call. The case lambdas all funnel through
- *  execute() below, so one knob retargets the whole suite without
- *  threading an option through 38 closures. */
-ExecutionTier g_case_tier = ExecutionTier::Detailed;
-
-IrModule
-module(IrFunction f)
+unsigned
+sum(const std::map<ViolationCategory, unsigned>& counts, bool spatial)
 {
-    IrModule m;
-    m.functions.push_back(std::move(f));
-    return m;
-}
-
-/** Compile + launch, converting compiler rejections into outcomes. */
-CaseOutcome
-execute(Device& dev, const IrModule& m, const std::string& kernel,
-        std::vector<uint64_t> params, unsigned grid = 1, unsigned block = 1,
-        uint64_t dyn_shared = 0)
-{
-    CaseOutcome outcome;
-    try {
-        const CompiledKernel ck = dev.compile(m, kernel);
-        LaunchOptions opts;
-        opts.tier = g_case_tier;
-        opts.dynamic_shared_bytes = dyn_shared;
-        const RunResult r =
-            dev.launch(ck, grid, block, std::move(params), opts);
-        outcome.faults = r.faults;
-    } catch (const CompileError&) {
-        outcome.compile_rejected = true;
-    }
-    return outcome;
-}
-
-/** Kernel: buf[idx] = 1 (i32); one thread. */
-IrModule
-storeKernel(const char* name = "poke")
-{
-    IrFunction f = IrBuilder::makeKernel(
-        name, {{"buf", Type::ptr(4)}, {"idx", Type::i64()}});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    b.store(b.gep(b.param(0), b.param(1)), b.constInt(1, Type::i32()));
-    b.ret();
-    return module(std::move(f));
-}
-
-/** Local-buffer overflow: alloca(size); buf[idx] = 1. */
-IrModule
-localStoreKernel(uint64_t buf_bytes)
-{
-    IrFunction f =
-        IrBuilder::makeKernel("local_oob", {{"idx", Type::i64()}});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    auto buf = b.alloca_(buf_bytes, 4);
-    b.store(b.gep(buf, b.param(0)), b.constInt(1, Type::i32()));
-    b.ret();
-    return module(std::move(f));
-}
-
-/** Two local buffers; overflow from A by idx (reaches B and beyond). */
-IrModule
-localMultiKernel()
-{
-    IrFunction f =
-        IrBuilder::makeKernel("local_multi", {{"idx", Type::i64()}});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    auto a = b.alloca_(256, 4);
-    auto bb = b.alloca_(256, 4);
-    // Keep B alive with a legitimate store.
-    b.store(b.gep(bb, b.constInt(0)), b.constInt(2, Type::i32()));
-    b.store(b.gep(a, b.param(0)), b.constInt(1, Type::i32()));
-    b.ret();
-    return module(std::move(f));
-}
-
-/**
- * Cross-frame attack via integer laundering (the Mind-Control-Attack
- * idiom): the callee derives a raw 48-bit address from its own buffer
- * and writes into the caller's frame. LMI rejects the ptrtoint at
- * compile time (§XII-B); tagging schemes lose provenance.
- */
-IrModule
-crossFrameKernel(int64_t delta)
-{
-    IrModule m;
-    {
-        IrFunction helper =
-            IrBuilder::makeKernel("helper", {{"delta", Type::i64()}});
-        IrBuilder b(helper);
-        b.setInsertPoint(b.block("entry"));
-        auto mine = b.alloca_(256, 4);
-        auto raw = b.iand(b.ptrToInt(mine),
-                          b.constInt(int64_t(lowMask(48))));
-        auto target = b.intToPtr(b.iadd(raw, b.param(0)), Type::ptr(4, MemSpace::Local));
-        b.store(target, b.constInt(0xEE, Type::i32()));
-        b.ret();
-        m.functions.push_back(std::move(helper));
-    }
-    {
-        IrFunction kernel = IrBuilder::makeKernel("xframe", {});
-        IrBuilder b(kernel);
-        b.setInsertPoint(b.block("entry"));
-        auto victim = b.alloca_(256, 4); // the caller's frame buffer
-        b.store(b.gep(victim, b.constInt(0)), b.constInt(7, Type::i32()));
-        b.call("helper", Type::voidTy(), {b.constInt(delta)});
-        b.ret();
-        m.functions.push_back(std::move(kernel));
-    }
-    return m;
-}
-
-/** Shared-memory overflow from a static tile. */
-IrModule
-sharedStoreKernel(uint64_t tile_bytes, bool second_tile)
-{
-    IrFunction f =
-        IrBuilder::makeKernel("shared_oob", {{"idx", Type::i64()}});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    auto tile = b.sharedBuffer("tileA", tile_bytes, 4);
-    if (second_tile) {
-        auto tb = b.sharedBuffer("tileB", tile_bytes, 4);
-        b.store(b.gep(tb, b.constInt(0)), b.constInt(2, Type::i32()));
-    }
-    b.store(b.gep(tile, b.param(0)), b.constInt(1, Type::i32()));
-    b.ret();
-    return module(std::move(f));
-}
-
-/** Dynamic shared pool overflow. */
-IrModule
-dynSharedKernel()
-{
-    IrFunction f =
-        IrBuilder::makeKernel("dyn_shared_oob", {{"idx", Type::i64()}});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    auto pool = b.dynamicShared(4);
-    b.store(b.gep(pool, b.param(0)), b.constInt(1, Type::i32()));
-    b.ret();
-    return module(std::move(f));
-}
-
-/** Intra-object overflow: one 64 B struct, field A (8 i32) into B. */
-IrModule
-intraObjectKernel(MemSpace space)
-{
-    IrFunction f =
-        IrBuilder::makeKernel("intra_oob", {{"obj", Type::ptr(4)},
-                                            {"idx", Type::i64()}});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    ValueId obj;
-    switch (space) {
-      case MemSpace::Global:
-        obj = b.param(0);
-        break;
-      case MemSpace::Local:
-        obj = b.alloca_(256, 4);
-        break;
-      case MemSpace::Shared:
-        obj = b.sharedBuffer("obj", 256, 4);
-        break;
-      default:
-        lmi_panic("bad intra-object space");
-    }
-    // Field A is obj[0..7]; the write at `idx` in 8..15 corrupts field B
-    // of the same 256 B object.
-    b.store(b.gep(obj, b.param(1)), b.constInt(1, Type::i32()));
-    b.ret();
-    return module(std::move(f));
-}
-
-/** Device-heap kernel: p = malloc(bytes); p[idx] = 1; optional frees. */
-IrModule
-heapKernel(uint64_t bytes, bool free_before_use, bool use_copy,
-           bool realloc_between, bool double_free)
-{
-    IrFunction f = IrBuilder::makeKernel("heap_case", {{"idx", Type::i64()}});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    auto size = b.constInt(int64_t(bytes));
-    auto p = b.malloc_(size, 4);
-    auto copy = b.gep(p, b.constInt(0)); // an alias made before free
-    b.store(b.gep(p, b.constInt(0)), b.constInt(1, Type::i32()));
-    if (free_before_use) {
-        b.free_(p);
-        if (realloc_between) {
-            // The allocator reuses the chunk for a new owner.
-            auto p2 = b.malloc_(size, 4);
-            b.store(b.gep(p2, b.constInt(0)), b.constInt(9, Type::i32()));
-        }
-        if (double_free) {
-            b.free_(p);
-        } else {
-            auto target = use_copy ? copy : p;
-            b.store(b.gep(target, b.param(0)),
-                    b.constInt(2, Type::i32()));
-        }
-    } else {
-        b.store(b.gep(p, b.param(0)), b.constInt(2, Type::i32()));
-        b.free_(p);
-    }
-    b.ret();
-    return module(std::move(f));
-}
-
-/** Free a stack pointer through the device heap free() (invalid free). */
-IrModule
-invalidDeviceFreeKernel()
-{
-    IrFunction f = IrBuilder::makeKernel("bad_free", {});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    auto buf = b.alloca_(256, 4);
-    b.store(b.gep(buf, b.constInt(0)), b.constInt(1, Type::i32()));
-    b.free_(buf);
-    b.ret();
-    return module(std::move(f));
-}
-
-/**
- * Use-after-scope: helper returns its stack buffer; the kernel
- * dereferences it after (optionally) a second helper reused the frame.
- */
-IrModule
-uasKernel(bool delayed, bool is_write)
-{
-    IrModule m;
-    {
-        IrFunction helper = IrBuilder::makeKernel("mk", {});
-        helper.ret_type = Type::ptr(4, MemSpace::Local);
-        IrBuilder b(helper);
-        b.setInsertPoint(b.block("entry"));
-        auto buf = b.alloca_(256, 4);
-        b.store(b.gep(buf, b.constInt(0)), b.constInt(5, Type::i32()));
-        b.retVal(buf);
-        m.functions.push_back(std::move(helper));
-    }
-    {
-        IrFunction filler = IrBuilder::makeKernel("filler", {});
-        IrBuilder b(filler);
-        b.setInsertPoint(b.block("entry"));
-        auto buf = b.alloca_(256, 4);
-        b.store(b.gep(buf, b.constInt(0)), b.constInt(6, Type::i32()));
-        b.ret();
-        m.functions.push_back(std::move(filler));
-    }
-    {
-        IrFunction kernel =
-            IrBuilder::makeKernel("uas", {{"sink", Type::ptr(4)}});
-        IrBuilder b(kernel);
-        b.setInsertPoint(b.block("entry"));
-        auto stale = b.call("mk", Type::ptr(4, MemSpace::Local), {});
-        if (delayed)
-            b.call("filler", Type::voidTy(), {});
-        if (is_write) {
-            b.store(b.gep(stale, b.constInt(0)),
-                    b.constInt(0xBAD, Type::i32()));
-        } else {
-            auto v = b.load(b.gep(stale, b.constInt(0)));
-            b.store(b.gep(b.param(0), b.constInt(0)), v);
-        }
-        b.ret();
-        m.functions.push_back(std::move(kernel));
-    }
-    return m;
-}
-
-// ------------------------------------------------------------------
-// Host-side case drivers
-// ------------------------------------------------------------------
-
-CaseOutcome
-globalStoreCase(Device& dev, uint64_t buf_bytes, int64_t idx)
-{
-    const uint64_t buf = dev.cudaMalloc(buf_bytes);
-    return execute(dev, storeKernel(), "poke", {buf, uint64_t(idx)});
-}
-
-CaseOutcome
-hostUafCase(Device& dev, bool use_copy, bool realloc_between)
-{
-    uint64_t buf = dev.cudaMalloc(1024);
-    const uint64_t copy = buf;
-    CaseOutcome outcome;
-    if (MaybeFault f = dev.cudaFree(buf)) {
-        outcome.faults.push_back(*f);
-        return outcome;
-    }
-    if (realloc_between) {
-        const uint64_t other = dev.cudaMalloc(1024);
-        dev.poke32(other, 42);
-    }
-    return execute(dev, storeKernel(), "poke",
-                   {use_copy ? copy : buf, 0});
+    unsigned n = 0;
+    for (const auto& [cat, count] : counts)
+        if (isSpatialCategory(cat) == spatial)
+            n += count;
+    return n;
 }
 
 } // namespace
 
-const std::vector<ViolationCase>&
-violationSuite()
-{
-    static const std::vector<ViolationCase> suite = [] {
-        std::vector<ViolationCase> cases;
-        auto add = [&](std::string id, ViolationCategory cat,
-                       std::string desc,
-                       std::function<CaseOutcome(Device&)> run,
-                       bool baseline_detects = false) {
-            cases.push_back({std::move(id), cat, std::move(desc),
-                             baseline_detects, std::move(run)});
-        };
-
-        // ---- Global OoB (2) -------------------------------------------
-        add("spatial.global.adjacent", ViolationCategory::GlobalOoB,
-            "write one element past a 256 B global buffer",
-            [](Device& d) { return globalStoreCase(d, 256, 64); });
-        add("spatial.global.nonadjacent", ViolationCategory::GlobalOoB,
-            "write 16 KiB past a 256 B global buffer",
-            [](Device& d) { return globalStoreCase(d, 256, 4096); });
-
-        // ---- Heap OoB (3) ----------------------------------------------
-        add("spatial.heap.adjacent", ViolationCategory::HeapOoB,
-            "write one element past a 512 B kernel-malloc buffer",
-            [](Device& d) {
-                return execute(d, heapKernel(512, false, false, false,
-                                             false),
-                               "heap_case", {128});
-            });
-        add("spatial.heap.nonadjacent", ViolationCategory::HeapOoB,
-            "write 64 KiB past a kernel-malloc buffer (inside the heap)",
-            [](Device& d) {
-                return execute(d, heapKernel(512, false, false, false,
-                                             false),
-                               "heap_case", {16384});
-            });
-        add("spatial.heap.beyond", ViolationCategory::HeapOoB,
-            "write escaping the whole device-heap region",
-            [](Device& d) {
-                return execute(d, heapKernel(512, false, false, false,
-                                             false),
-                               "heap_case", {kHeapSize / 4});
-            });
-
-        // ---- Local OoB (8) ----------------------------------------------
-        add("spatial.local.single.adjacent", ViolationCategory::LocalOoB,
-            "write one element past a 256 B stack buffer",
-            [](Device& d) {
-                return execute(d, localStoreKernel(256), "local_oob", {64});
-            });
-        add("spatial.local.single.nonadjacent", ViolationCategory::LocalOoB,
-            "write 4 KiB past a 256 B stack buffer (inside the frame area)",
-            [](Device& d) {
-                return execute(d, localStoreKernel(256), "local_oob",
-                               {1024});
-            });
-        add("spatial.local.multi.adjacent", ViolationCategory::LocalOoB,
-            "overflow stack buffer A into sibling buffer B",
-            [](Device& d) {
-                return execute(d, localMultiKernel(), "local_multi", {64});
-            });
-        add("spatial.local.multi.nonadjacent", ViolationCategory::LocalOoB,
-            "overflow stack buffer A into the middle of sibling B",
-            [](Device& d) {
-                return execute(d, localMultiKernel(), "local_multi", {96});
-            });
-        add("spatial.local.xframe.adjacent", ViolationCategory::LocalOoB,
-            "callee writes the caller's frame via laundered address",
-            [](Device& d) {
-                return execute(d, crossFrameKernel(-256), "xframe", {});
-            });
-        add("spatial.local.xframe.nonadjacent", ViolationCategory::LocalOoB,
-            "callee writes far into another frame via laundered address",
-            [](Device& d) {
-                return execute(d, crossFrameKernel(8192), "xframe", {});
-            });
-        add("spatial.local.beyond.write", ViolationCategory::LocalOoB,
-            "write escaping the whole per-thread local window",
-            [](Device& d) {
-                return execute(d, localStoreKernel(256), "local_oob",
-                               {int64_t(kLocalWindow) / 4});
-            });
-        add("spatial.local.beyond.read", ViolationCategory::LocalOoB,
-            "read escaping the whole per-thread local window",
-            [](Device& d) {
-                // Load variant built from the generic local kernel.
-                IrFunction f = IrBuilder::makeKernel(
-                    "local_read", {{"sink", Type::ptr(4)},
-                                   {"idx", Type::i64()}});
-                IrBuilder b(f);
-                b.setInsertPoint(b.block("entry"));
-                auto buf = b.alloca_(256, 4);
-                b.store(b.gep(buf, b.constInt(0)),
-                        b.constInt(3, Type::i32()));
-                auto v = b.load(b.gep(buf, b.param(1)));
-                b.store(b.gep(b.param(0), b.constInt(0)), v);
-                b.ret();
-                const uint64_t sink = d.cudaMalloc(256);
-                return execute(d, module(std::move(f)), "local_read",
-                               {sink, kLocalWindow / 4});
-            });
-
-        // ---- Shared OoB (6) ----------------------------------------------
-        add("spatial.shared.single.adjacent", ViolationCategory::SharedOoB,
-            "write one element past a 1 KiB static shared tile",
-            [](Device& d) {
-                return execute(d, sharedStoreKernel(1024, false),
-                               "shared_oob", {256}, 1, 32);
-            });
-        add("spatial.shared.single.nonadjacent",
-            ViolationCategory::SharedOoB,
-            "write 16 KiB past a static shared tile",
-            [](Device& d) {
-                return execute(d, sharedStoreKernel(1024, false),
-                               "shared_oob", {4096}, 1, 32);
-            });
-        add("spatial.shared.multi", ViolationCategory::SharedOoB,
-            "overflow shared tile A into sibling tile B",
-            [](Device& d) {
-                return execute(d, sharedStoreKernel(1024, true),
-                               "shared_oob", {300}, 1, 32);
-            });
-        add("spatial.shared.beyond", ViolationCategory::SharedOoB,
-            "write escaping the shared-memory allocation entirely",
-            [](Device& d) {
-                return execute(d, sharedStoreKernel(1024, false),
-                               "shared_oob",
-                               {int64_t(kSharedCapacity) / 4}, 1, 32);
-            });
-        add("spatial.shared.static_into_dynamic",
-            ViolationCategory::SharedOoB,
-            "static tile overflow into the dynamic shared pool",
-            [](Device& d) {
-                return execute(d, sharedStoreKernel(1024, false),
-                               "shared_oob", {300}, 1, 32,
-                               /*dyn_shared=*/2048);
-            });
-        add("spatial.shared.dynamic_beyond", ViolationCategory::SharedOoB,
-            "dynamic-pool access beyond the launched pool size",
-            [](Device& d) {
-                return execute(d, dynSharedKernel(), "dyn_shared_oob",
-                               {2048}, 1, 32, /*dyn_shared=*/1024);
-            });
-
-        // ---- Intra-object OoB (3) -----------------------------------------
-        add("spatial.intra.global", ViolationCategory::IntraOoB,
-            "field A overflows into field B of the same global struct",
-            [](Device& d) {
-                const uint64_t obj = d.cudaMalloc(256);
-                return execute(d, intraObjectKernel(MemSpace::Global),
-                               "intra_oob", {obj, 9});
-            });
-        add("spatial.intra.local", ViolationCategory::IntraOoB,
-            "field A overflows into field B of the same stack struct",
-            [](Device& d) {
-                const uint64_t obj = d.cudaMalloc(256); // unused param slot
-                return execute(d, intraObjectKernel(MemSpace::Local),
-                               "intra_oob", {obj, 9});
-            });
-        add("spatial.intra.shared", ViolationCategory::IntraOoB,
-            "field A overflows into field B of the same shared struct",
-            [](Device& d) {
-                const uint64_t obj = d.cudaMalloc(256); // unused param slot
-                return execute(d, intraObjectKernel(MemSpace::Shared),
-                               "intra_oob", {obj, 9}, 1, 32);
-            });
-
-        // ---- Use-after-free (8) --------------------------------------------
-        add("temporal.uaf.global.imm.orig", ViolationCategory::UseAfterFree,
-            "store through the freed handle immediately",
-            [](Device& d) { return hostUafCase(d, false, false); });
-        add("temporal.uaf.global.imm.copy", ViolationCategory::UseAfterFree,
-            "store through a pre-free copy immediately",
-            [](Device& d) { return hostUafCase(d, true, false); });
-        add("temporal.uaf.global.delayed.orig",
-            ViolationCategory::UseAfterFree,
-            "store through the freed handle after reallocation",
-            [](Device& d) { return hostUafCase(d, false, true); });
-        add("temporal.uaf.global.delayed.copy",
-            ViolationCategory::UseAfterFree,
-            "store through a pre-free copy after reallocation",
-            [](Device& d) { return hostUafCase(d, true, true); });
-        add("temporal.uaf.heap.imm.orig", ViolationCategory::UseAfterFree,
-            "kernel-malloc UAF through the freed pointer",
-            [](Device& d) {
-                return execute(d, heapKernel(512, true, false, false,
-                                             false),
-                               "heap_case", {0});
-            });
-        add("temporal.uaf.heap.imm.copy", ViolationCategory::UseAfterFree,
-            "kernel-malloc UAF through a pre-free alias",
-            [](Device& d) {
-                return execute(d, heapKernel(512, true, true, false, false),
-                               "heap_case", {0});
-            });
-        add("temporal.uaf.heap.delayed.orig",
-            ViolationCategory::UseAfterFree,
-            "kernel-malloc UAF after the chunk was reallocated",
-            [](Device& d) {
-                return execute(d, heapKernel(512, true, false, true, false),
-                               "heap_case", {0});
-            });
-        add("temporal.uaf.heap.delayed.copy",
-            ViolationCategory::UseAfterFree,
-            "kernel-malloc UAF via alias after reallocation",
-            [](Device& d) {
-                return execute(d, heapKernel(512, true, true, true, false),
-                               "heap_case", {0});
-            });
-
-        // ---- Use-after-scope (4) ---------------------------------------------
-        add("temporal.uas.imm.read", ViolationCategory::UseAfterScope,
-            "read a returned stack buffer right after scope exit",
-            [](Device& d) {
-                const uint64_t sink = d.cudaMalloc(256);
-                return execute(d, uasKernel(false, false), "uas", {sink});
-            });
-        add("temporal.uas.imm.write", ViolationCategory::UseAfterScope,
-            "write a returned stack buffer right after scope exit",
-            [](Device& d) {
-                const uint64_t sink = d.cudaMalloc(256);
-                return execute(d, uasKernel(false, true), "uas", {sink});
-            });
-        add("temporal.uas.delayed.read", ViolationCategory::UseAfterScope,
-            "read a stale stack buffer after another frame reused it",
-            [](Device& d) {
-                const uint64_t sink = d.cudaMalloc(256);
-                return execute(d, uasKernel(true, false), "uas", {sink});
-            });
-        add("temporal.uas.delayed.write", ViolationCategory::UseAfterScope,
-            "write a stale stack buffer after another frame reused it",
-            [](Device& d) {
-                const uint64_t sink = d.cudaMalloc(256);
-                return execute(d, uasKernel(true, true), "uas", {sink});
-            });
-
-        // ---- Invalid free (2) ----------------------------------------------
-        add("temporal.invalidfree.host", ViolationCategory::InvalidFree,
-            "cudaFree of a pointer never returned by cudaMalloc",
-            [](Device& d) {
-                CaseOutcome outcome;
-                uint64_t bogus = kGlobalBase + 0x13371000;
-                if (MaybeFault f = d.cudaFree(bogus))
-                    outcome.faults.push_back(*f);
-                return outcome;
-            },
-            /*baseline_detects=*/true);
-        add("temporal.invalidfree.device", ViolationCategory::InvalidFree,
-            "device free() of a stack pointer",
-            [](Device& d) {
-                return execute(d, invalidDeviceFreeKernel(), "bad_free",
-                               {});
-            },
-            /*baseline_detects=*/true);
-
-        // ---- Double free (2) --------------------------------------------------
-        add("temporal.doublefree.host", ViolationCategory::DoubleFree,
-            "cudaFree of the same buffer twice",
-            [](Device& d) {
-                CaseOutcome outcome;
-                uint64_t buf = d.cudaMalloc(1024);
-                uint64_t again = buf;
-                if (MaybeFault f = d.cudaFree(buf)) {
-                    outcome.faults.push_back(*f);
-                    return outcome;
-                }
-                if (MaybeFault f = d.cudaFree(again))
-                    outcome.faults.push_back(*f);
-                return outcome;
-            },
-            /*baseline_detects=*/true);
-        add("temporal.doublefree.device", ViolationCategory::DoubleFree,
-            "device free() of the same chunk twice",
-            [](Device& d) {
-                return execute(d, heapKernel(512, true, false, false, true),
-                               "heap_case", {0});
-            },
-            /*baseline_detects=*/true);
-
-        return cases;
-    }();
-    return suite;
-}
-
 unsigned
 SecurityScore::spatialDetected() const
 {
-    unsigned n = 0;
-    for (const auto& [cat, count] : detected)
-        if (isSpatialCategory(cat))
-            n += count;
-    return n;
+    return sum(detected, true);
 }
 
 unsigned
 SecurityScore::spatialTotal() const
 {
-    unsigned n = 0;
-    for (const auto& [cat, count] : total)
-        if (isSpatialCategory(cat))
-            n += count;
-    return n;
+    return sum(total, true);
 }
 
 unsigned
 SecurityScore::temporalDetected() const
 {
-    unsigned n = 0;
-    for (const auto& [cat, count] : detected)
-        if (!isSpatialCategory(cat))
-            n += count;
-    return n;
+    return sum(detected, false);
 }
 
 unsigned
 SecurityScore::temporalTotal() const
 {
-    unsigned n = 0;
-    for (const auto& [cat, count] : total)
-        if (!isSpatialCategory(cat))
-            n += count;
-    return n;
+    return sum(total, false);
+}
+
+SecurityScore
+tallySecurity(const CoverageMatrix& matrix, MechanismKind kind,
+              ExecutionTier tier)
+{
+    SecurityScore score;
+    score.mechanism = kind;
+    for (const CoverageCell& c : matrix.cells) {
+        if (!c.category || c.mechanism != kind || c.tier != tier)
+            continue;
+        ++score.total[*c.category];
+        if (c.detected)
+            ++score.detected[*c.category];
+    }
+    return score;
 }
 
 SecurityScore
 evaluateMechanism(MechanismKind kind, ExecutionTier tier)
 {
-    SecurityScore score;
-    score.mechanism = kind;
-    g_case_tier = tier;
-    for (const ViolationCase& vcase : violationSuite()) {
-        Device dev(makeMechanism(kind));
-        const CaseOutcome outcome = vcase.run(dev);
-        ++score.total[vcase.category];
-        if (outcome.detected())
-            ++score.detected[vcase.category];
-    }
-    g_case_tier = ExecutionTier::Detailed;
-    return score;
+    return tallySecurity(runCoverage({kind}, {tier}), kind, tier);
 }
 
 } // namespace lmi

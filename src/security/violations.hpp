@@ -1,78 +1,22 @@
 /**
  * @file
- * Security evaluation suite (paper §IX, Table III).
+ * Table III (paper §IX) as a view over the detection-coverage matrix.
  *
- * 38 violation test cases reconstructed from the paper's taxonomy
- * (which itself reconstructs cuCatch's unpublished suite):
- *
- *  Spatial (22): global OoB (2), device-heap OoB (3), local/stack OoB
- *  (8: single/multi buffer x within-frame/across-frame/beyond-local),
- *  shared OoB (6: single/multi/beyond/static-into-dynamic/dynamic-pool),
- *  intra-object OoB (3).
- *
- *  Temporal (16): use-after-free (8: global/heap x immediate/delayed x
- *  original/copied pointer), use-after-scope (4), invalid free (2),
- *  double free (2).
- *
- * Each case builds its kernel through the public Device API, so
- * detection outcomes *emerge from mechanism semantics* — nothing is
- * hard-coded per mechanism. A case counts as detected when the run
- * raises a fault or the mechanism's compiler rejects the kernel (LMI's
- * §XII-B inttoptr rejection).
+ * The 38 violation cases are the Table III rows of the security corpus
+ * (workloads/attacks.hpp); security/coverage.hpp runs them with every
+ * other case. A SecurityScore tallies one mechanism's Table III cells
+ * on one tier: a case counts as detected when its run raised a fault
+ * or the mechanism's compiler rejected the kernel (LMI's §XII-B
+ * inttoptr rejection).
  */
 
 #pragma once
 
-#include <functional>
 #include <map>
-#include <string>
-#include <vector>
 
-#include "mechanisms/registry.hpp"
-#include "sim/device.hpp"
+#include "security/coverage.hpp"
 
 namespace lmi {
-
-enum class ViolationCategory : uint8_t {
-    GlobalOoB,
-    HeapOoB,
-    LocalOoB,
-    SharedOoB,
-    IntraOoB,
-    UseAfterFree,
-    UseAfterScope,
-    InvalidFree,
-    DoubleFree,
-};
-
-const char* violationCategoryName(ViolationCategory category);
-
-/** True for the spatial half of the taxonomy. */
-bool isSpatialCategory(ViolationCategory category);
-
-/** What happened when a case ran under some mechanism. */
-struct CaseOutcome
-{
-    std::vector<Fault> faults;
-    /** The mechanism's compiler refused the kernel (counts as detected). */
-    bool compile_rejected = false;
-
-    bool detected() const { return compile_rejected || !faults.empty(); }
-};
-
-/** One violation test case. */
-struct ViolationCase
-{
-    std::string id;
-    ViolationCategory category;
-    std::string description;
-    /** Baseline runs are expected fault-free except runtime free errors. */
-    bool baseline_detects = false;
-    std::function<CaseOutcome(Device&)> run;
-};
-
-/** The full 38-case suite, spatial first. */
-const std::vector<ViolationCase>& violationSuite();
 
 /** Detection tally for one mechanism. */
 struct SecurityScore
@@ -88,10 +32,13 @@ struct SecurityScore
     unsigned temporalTotal() const;
 };
 
-/** Run the whole suite under @p kind (fresh Device per case). Every
- *  case launch runs on @p tier — detection outcomes must not depend on
- *  the execution tier, which the tier cross-validation tests assert by
- *  comparing scores across tiers. */
+/** Tally the Table III cells of @p matrix for @p kind on @p tier. */
+SecurityScore tallySecurity(const CoverageMatrix& matrix, MechanismKind kind,
+                            ExecutionTier tier = ExecutionTier::Detailed);
+
+/** Run the corpus under @p kind on @p tier and tally its Table III
+ *  cells. Detection must not depend on the tier; the tier
+ *  cross-validation tests compare scores across tiers. */
 SecurityScore evaluateMechanism(MechanismKind kind,
                                 ExecutionTier tier = ExecutionTier::Detailed);
 

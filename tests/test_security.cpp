@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "security/violations.hpp"
 
 namespace lmi {
@@ -22,8 +24,12 @@ categoryDetected(const SecurityScore& s, ViolationCategory cat)
 TEST(Security, SuiteShapeMatchesTableIII)
 {
     std::map<ViolationCategory, unsigned> totals;
-    for (const auto& c : violationSuite())
-        ++totals[c.category];
+    unsigned cases = 0;
+    for (const AttackScenario& c : attackSuite())
+        if (c.category) {
+            ++totals[*c.category];
+            ++cases;
+        }
     EXPECT_EQ(totals[ViolationCategory::GlobalOoB], 2u);
     EXPECT_EQ(totals[ViolationCategory::HeapOoB], 3u);
     EXPECT_EQ(totals[ViolationCategory::LocalOoB], 8u);
@@ -33,19 +39,22 @@ TEST(Security, SuiteShapeMatchesTableIII)
     EXPECT_EQ(totals[ViolationCategory::UseAfterScope], 4u);
     EXPECT_EQ(totals[ViolationCategory::InvalidFree], 2u);
     EXPECT_EQ(totals[ViolationCategory::DoubleFree], 2u);
-    EXPECT_EQ(violationSuite().size(), 38u);
+    EXPECT_EQ(cases, 38u);
 }
 
 TEST(Security, BaselineStaysClean)
 {
-    for (const auto& c : violationSuite()) {
-        SCOPED_TRACE(c.id);
-        Device dev(makeMechanism(MechanismKind::Baseline));
-        const CaseOutcome outcome = c.run(dev);
-        EXPECT_EQ(outcome.detected(), c.baseline_detects)
-            << (outcome.faults.empty()
-                    ? "no fault"
-                    : outcome.faults[0].detail);
+    // Only the runtime's free checks fire without a mechanism.
+    for (const CoverageCell& c :
+         runCoverage({MechanismKind::Baseline}, {ExecutionTier::Detailed})
+             .cells) {
+        if (!c.category)
+            continue;
+        SCOPED_TRACE(c.attack);
+        EXPECT_EQ(c.detected,
+                  *c.category == ViolationCategory::InvalidFree ||
+                      *c.category == ViolationCategory::DoubleFree)
+            << (c.fault.empty() ? "no fault" : c.fault);
     }
 }
 
@@ -119,6 +128,26 @@ TEST(Security, LmiLivenessClosesCopiedPointerGap)
     EXPECT_EQ(categoryDetected(ext, ViolationCategory::UseAfterFree), 8u);
     // Spatial coverage is unchanged.
     EXPECT_EQ(ext.spatialDetected(), base.spatialDetected());
+}
+
+TEST(Security, ConcurrentEvaluationsMatchSerial)
+{
+    // Each evaluation carries its tier to its own cells: two at once
+    // on different tiers must score exactly as they do alone.
+    const SecurityScore det = evaluateMechanism(MechanismKind::Lmi);
+    const SecurityScore fn =
+        evaluateMechanism(MechanismKind::Lmi, ExecutionTier::Functional);
+    SecurityScore det_concurrent, fn_concurrent;
+    std::thread other([&] {
+        fn_concurrent = evaluateMechanism(MechanismKind::Lmi,
+                                          ExecutionTier::Functional);
+    });
+    det_concurrent = evaluateMechanism(MechanismKind::Lmi);
+    other.join();
+    EXPECT_EQ(det_concurrent.detected, det.detected);
+    EXPECT_EQ(det_concurrent.total, det.total);
+    EXPECT_EQ(fn_concurrent.detected, fn.detected);
+    EXPECT_EQ(fn_concurrent.total, fn.total);
 }
 
 TEST(Security, SpatialAndTemporalTallies)

@@ -16,8 +16,6 @@
  *       ExperimentRunner and print/export the results.
  *   lmi_explore disasm <workload> <mechanism>
  *       Print the generated SASS-like code (hint bits visible).
- *   lmi_explore security <mechanism>
- *       Run the 38-case violation suite and print per-case outcomes.
  *   lmi_explore trace <workload> <mechanism> [events]
  *       Capture an instruction trace (NVBit-style) and print the first
  *       N events plus the stream characterization.
@@ -42,10 +40,11 @@
  *       test's expectation.
  *   lmi_explore coverage [--mechanisms m1,m2] [--tier T] [--csv FILE]
  *                        [--json FILE]
- *       Run the adversarial attack suite under every mechanism on both
- *       engine tiers (one tier with --tier), cross-check dynamic
- *       detections against the static safety oracle, and print the
- *       detection-coverage matrix. Exits non-zero on any
+ *       Run the security corpus (the six attack scenarios and Table
+ *       III's 38 cases) under every mechanism on both engine tiers (one
+ *       tier with --tier), cross-check dynamic detections against the
+ *       static safety oracle, and print the detection-coverage matrix
+ *       (per-case outcomes per mechanism). Exits non-zero on any
  *       oracle/dynamic disagreement (CI gate).
  *   lmi_explore churn [scale] [--workloads s1,s2] [--json FILE]
  *       Run the allocation-churn basket (workloads/churn.hpp) against
@@ -54,7 +53,7 @@
  *       Exits non-zero when a live free faults (allocator bug).
  *
  * Global flags: `--jobs N` sizes the ExperimentRunner pool (compare,
- * sweep, security; 0 = all cores, default 1), `--sim-threads N` sets
+ * sweep; 0 = all cores, default 1), `--sim-threads N` sets
  * the per-launch SM worker count (run, compare, sweep; byte-identical
  * results, clamped so jobs x sim_threads never oversubscribes the
  * host), `--cache DIR` points the on-disk result cache (also via
@@ -82,7 +81,6 @@
 #include "mechanisms/registry.hpp"
 #include "runner/experiment_runner.hpp"
 #include "security/coverage.hpp"
-#include "security/violations.hpp"
 #include "sim/trace.hpp"
 #include "workloads/churn.hpp"
 #include "workloads/litmus.hpp"
@@ -152,7 +150,6 @@ usage(bool help = false)
         "  lmi_explore races [--workloads a,b] [--seeded] [--dynamic]\n"
         "              [--tier T] [--json FILE]\n"
         "  lmi_explore check [test] [--bound N] [--json FILE]\n"
-        "  lmi_explore security <mechanism> [--jobs N] [--tier T]\n"
         "  lmi_explore coverage [--mechanisms m1,m2] [--tier T]\n"
         "              [--csv FILE] [--json FILE]\n"
         "  lmi_explore churn [scale] [--workloads s1,s2] [--json FILE]\n"
@@ -385,43 +382,6 @@ cmdDisasm(const std::string& workload, MechanismKind kind)
     const CompiledKernel ck =
         dev.compile(buildWorkloadKernel(profile), profile.name);
     std::printf("%s", ck.program.disassemble().c_str());
-    return 0;
-}
-
-int
-cmdSecurity(MechanismKind kind, const GlobalOpts& opts)
-{
-    // Each case is one independent job on the ExperimentRunner pool:
-    // a fresh Device per case, outcomes reported in suite order.
-    const std::vector<ViolationCase>& suite = violationSuite();
-    std::vector<CaseOutcome> outcomes(suite.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(suite.size());
-    for (size_t i = 0; i < suite.size(); ++i) {
-        jobs.push_back([&suite, &outcomes, kind, i] {
-            Device dev(makeMechanism(kind));
-            outcomes[i] = suite[i].run(dev);
-        });
-    }
-    ExperimentRunner::Options ropts;
-    ropts.jobs = opts.jobs;
-    ropts.label = "security";
-    ExperimentRunner runner(ropts);
-    const auto job_outcomes = runner.run(jobs);
-
-    unsigned detected = 0;
-    for (size_t i = 0; i < suite.size(); ++i) {
-        if (!job_outcomes[i].ok) {
-            std::printf("%-42s ERROR: %s\n", suite[i].id.c_str(),
-                        job_outcomes[i].error.c_str());
-            continue;
-        }
-        detected += outcomes[i].detected();
-        std::printf("%-42s %s%s\n", suite[i].id.c_str(),
-                    outcomes[i].detected() ? "DETECTED" : "missed",
-                    outcomes[i].compile_rejected ? " (compile-time)" : "");
-    }
-    std::printf("total: %u/%zu\n", detected, suite.size());
     return 0;
 }
 
@@ -1029,12 +989,6 @@ main(int argc, char** argv)
             if (!scaleArg(args, 1, 1.0, &scale))
                 return 2;
             return cmdChurn(scale, opts);
-        }
-        if (cmd == "security" && args.size() >= 2) {
-            MechanismKind kind;
-            if (!mechanismFromName(args[1], &kind))
-                return usage();
-            return cmdSecurity(kind, opts);
         }
     } catch (const FatalError& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
