@@ -2,9 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/cli.hpp"
 #include "common/hash.hpp"
 #include "common/table.hpp"
 
@@ -188,8 +188,19 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
     CellResult cell;
     bool fp_seen = false;
     bool end_seen = false;
-    auto u64field = [](const std::string& v) {
-        return std::strtoull(v.c_str(), nullptr, 10);
+    // A numeric field that does not parse in full rejects the whole
+    // entry (the cell is simulated again) instead of serving a prefix
+    // or a zero.
+    bool numbers_ok = true;
+    auto u64field = [&numbers_ok](const std::string& v) {
+        uint64_t n = 0;
+        numbers_ok = parseUint64(v, &n) && numbers_ok;
+        return n;
+    };
+    auto f64field = [&numbers_ok](const std::string& v) {
+        double x = 0.0;
+        numbers_ok = parseDouble(v, &x) && numbers_ok;
+        return x;
     };
 
     while (std::getline(in, line)) {
@@ -214,7 +225,7 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
             if (!parseExecutionTier(value, &cell.tier))
                 return false;
         } else if (key == "scale") {
-            cell.scale = std::strtod(value.c_str(), nullptr);
+            cell.scale = f64field(value);
         } else if (key == "ok") {
             cell.ok = value == "1";
         } else if (key == "timed_out") {
@@ -257,20 +268,22 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
                 p1 == std::string::npos ? p1 : value.find('|', p1 + 1);
             if (p2 == std::string::npos)
                 return false;
+            const uint64_t kind = u64field(value.substr(0, p1));
+            if (kind > uint64_t(FaultKind::BarrierDivergence))
+                return false; // past the last FaultKind enumerator
             Fault f;
-            f.kind = FaultKind(std::atoi(value.substr(0, p1).c_str()));
+            f.kind = FaultKind(kind);
             f.address = u64field(value.substr(p1 + 1, p2 - p1 - 1));
             f.detail = unescapeLine(value.substr(p2 + 1));
             r.faults.push_back(std::move(f));
         } else if (key.rfind("rstat.c.", 0) == 0) {
             r.stats.inc(key.substr(8), u64field(value));
         } else if (key.rfind("rstat.g.", 0) == 0) {
-            r.stats.set(key.substr(8), std::strtod(value.c_str(), nullptr));
+            r.stats.set(key.substr(8), f64field(value));
         } else if (key.rfind("dstat.c.", 0) == 0) {
             cell.device_stats.inc(key.substr(8), u64field(value));
         } else if (key.rfind("dstat.g.", 0) == 0) {
-            cell.device_stats.set(key.substr(8),
-                                  std::strtod(value.c_str(), nullptr));
+            cell.device_stats.set(key.substr(8), f64field(value));
         } else if (key == "peak_reserved") {
             cell.peak_reserved = u64field(value);
         } else if (key == "end") {
@@ -278,8 +291,8 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
         }
         // Unknown keys are skipped: newer writers stay readable.
     }
-    if (!fp_seen || !end_seen)
-        return false; // missing sentinel: truncated or foreign payload
+    if (!fp_seen || !end_seen || !numbers_ok)
+        return false; // truncated, foreign or damaged payload
     *out = std::move(cell);
     return true;
 }
@@ -415,10 +428,7 @@ SweepSpec::expand() const
                 cell.mechanism = mechanism;
                 cell.scale = scale;
                 cell.tier = tier;
-                cell.config =
-                    configure ? configure(profile.name, mechanism, scale,
-                                          config)
-                              : config;
+                cell.config = config;
                 cells.push_back(std::move(cell));
             }
         }

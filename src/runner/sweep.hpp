@@ -4,8 +4,8 @@
  *
  * Every paper figure is a (workload x mechanism x scale) grid. A
  * SweepSpec names that grid once — workload names or explicit profiles,
- * mechanisms from the canonical registry list, scale factors, and an
- * optional per-cell GpuConfig override — and ExperimentRunner executes
+ * mechanisms from the canonical registry list, scale factors, and the
+ * GpuConfig every cell runs on — and ExperimentRunner executes
  * it across a thread pool, one fully isolated Device per cell, so
  * parallel results are bit-identical to a serial run.
  *
@@ -159,11 +159,8 @@ struct SweepSpec
      *  sim/launch_options.hpp). Feeds the per-cell fingerprint. */
     ExecutionTier tier = ExecutionTier::Detailed;
 
-    /** Config applied to every cell (per-cell overrides via configure). */
+    /** Config applied to every cell. */
     GpuConfig config;
-    /** Optional per-cell config hook, run at grid-expansion time. */
-    std::function<GpuConfig(const std::string& workload, MechanismKind,
-                            double scale, const GpuConfig& base)> configure;
 
     /** Worker threads running whole cells; 0 = hardware concurrency. */
     unsigned jobs = 0;

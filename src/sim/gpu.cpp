@@ -11,6 +11,7 @@
 #include <unordered_set>
 
 #include "common/bitutil.hpp"
+#include "common/cli.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 
@@ -58,12 +59,11 @@ resolveSimThreads(const GpuConfig& config)
 {
     if (config.sim_threads)
         return config.sim_threads;
-    if (const char* env = std::getenv("LMI_SIM_THREADS")) {
-        const int v = std::atoi(env);
-        if (v > 0)
-            return unsigned(v);
-    }
-    return 1;
+    unsigned v = 0;
+    const char* env = std::getenv("LMI_SIM_THREADS");
+    if (env && !parseUnsigned(env, &v))
+        lmi_fatal("LMI_SIM_THREADS='%s' is not an unsigned integer", env);
+    return std::max(v, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -868,6 +868,86 @@ GpuSim::pendFault(SmCtx& sm, Fault fault)
 // Memory execution
 // ---------------------------------------------------------------------
 
+MemAccess
+GpuSim::lsuAccess(const SmCtx& sm, const Instruction& inst, MemSpace space,
+                  bool writes, unsigned width) const
+{
+    MemAccess access;
+    access.space = space;
+    access.is_store = writes;
+    access.width = uint8_t(width);
+    access.imm_offset = inst.imm_offset;
+    access.sm = sm.sm_id;
+    access.frame_base = config_.stack_top - program_.frame_bytes;
+    access.stack_top = config_.stack_top;
+    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
+    return access;
+}
+
+void
+GpuSim::observeAccess(SmCtx& sm, const Warp& warp, const Instruction& inst,
+                      MemSpace space, uint32_t gtid, uint64_t addr,
+                      unsigned width, bool writes, uint64_t value,
+                      uint64_t value2)
+{
+    const bool atomic = isAtomic(inst.op);
+    if (launch_.sanitizer)
+        launch_.sanitizer->onAccess(space, warp.block, warp.warp_in_block,
+                                    gtid, warp.pc, addr, width, writes,
+                                    atomic,
+                                    atomic ? inst.scope : MemScope::Cta);
+    if (!launch_.memlog || space != MemSpace::Global)
+        return;
+    MemEvent e;
+    if (atomic) {
+        e.is_atomic = true;
+        e.aop = inst.aop;
+        e.scope = inst.scope;
+        e.order = inst.order;
+    }
+    if (inst.op == Opcode::CASG || inst.op == Opcode::CASS)
+        e.kind = MemEvent::Kind::Cas;
+    else if (atomic && inst.aop != AtomicOp::Ld && inst.aop != AtomicOp::St)
+        e.kind = MemEvent::Kind::Rmw;
+    else // plain or atomic load/store
+        e.kind = writes ? MemEvent::Kind::Store : MemEvent::Kind::Load;
+    e.width = uint8_t(width);
+    e.sm = sm.sm_id;
+    e.block = warp.block;
+    e.warp = warp.warp_in_block;
+    e.gtid = gtid;
+    e.pc = warp.pc;
+    e.seq = sm.event_seq++;
+    e.cycle = sm.cycle;
+    e.addr = addr;
+    e.value = value;
+    e.value2 = value2;
+    launch_.memlog->record(e);
+}
+
+void
+GpuSim::logEvent(MemEvent::Kind kind, const SmCtx& sm, const Warp& warp,
+                 uint32_t gtid, uint64_t pc, uint64_t seq, uint64_t cycle,
+                 uint64_t addr, uint64_t value, MemScope scope,
+                 MemOrder order)
+{
+    MemEvent e;
+    e.kind = kind;
+    e.scope = scope;
+    e.order = order;
+    e.sm = sm.sm_id;
+    e.block = warp.block;
+    e.warp = warp.warp_in_block;
+    e.gtid = gtid;
+    e.pc = pc;
+    e.seq = seq;
+    e.cycle = cycle;
+    e.addr = addr;
+    e.value = value;
+    launch_.memlog->record(e);
+}
+
+template <bool kFunctional>
 void
 GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
 {
@@ -875,9 +955,6 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     const MemSpace space = d.space;
     const bool is_store = d.is_store;
     const unsigned addr_reg = unsigned(inst.src[0].value);
-    const uint64_t frame_base = config_.stack_top - program_.frame_bytes;
-    const uint64_t shared_limit =
-        dyn_shared_base_ + launch_.dynamic_shared_bytes;
 
     unsigned extra = 0;
     unsigned serialized = 0;
@@ -898,16 +975,9 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             ? nullptr // kernel has no local-memory instructions
             : sm.local_arena.data() +
                   size_t(warp.local_slot) * config_.warp_size;
+    const bool observed = launch_.sanitizer || launch_.memlog;
 
-    MemAccess access;
-    access.space = space;
-    access.is_store = is_store;
-    access.width = inst.width;
-    access.imm_offset = inst.imm_offset;
-    access.sm = sm.sm_id;
-    access.frame_base = frame_base;
-    access.stack_top = config_.stack_top;
-    access.shared_limit = shared_limit;
+    MemAccess access = lsuAccess(sm, inst, space, is_store, inst.width);
 
     for (unsigned lane = 0; lane < warp.lanes; ++lane) {
         if (!(warp.active & (1u << lane)))
@@ -925,32 +995,25 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
         extra = std::max(extra, check.extra_cycles);
         serialized += check.serialize_cycles;
 
-        // Functional access. Global goes through the SM's private view
-        // (frozen base + own-store overlay); shared and local are
+        // Architectural access. Global goes through the SM's private
+        // view (frozen base + own-store overlay); shared and local are
         // SM-private arenas accessed directly.
         const uint64_t addr = check.address;
         SparseMemory* mem = nullptr;
-        uint64_t probe_addr = addr;
         switch (space) {
           case MemSpace::Global:
             break;
           case MemSpace::Shared:
             mem = warp.shared;
             break;
-          case MemSpace::Local: {
+          case MemSpace::Local:
             mem = local_base + lane;
-            // Interleave per-thread words so that lane-uniform offsets
-            // coalesce, as the hardware's local-memory mapping does.
-            const uint64_t word = (addr - kLocalBase) >> 2;
-            probe_addr = kLocalPhysBase +
-                         (word * total_threads + gtid) * 4 + (addr & 3);
             break;
-          }
           case MemSpace::Constant:
             lmi_panic("constant space reached the LSU");
         }
 
-        if (space == MemSpace::Global) {
+        if (!mem) {
             if (is_store)
                 sm.gview.write(addr, store_val.get(lane), inst.width);
             else
@@ -961,37 +1024,32 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             dst_row[lane] = mem->read(addr, inst.width);
         }
 
-        if (launch_.sanitizer)
-            launch_.sanitizer->onAccess(space, warp.block,
-                                        warp.warp_in_block, gtid,
-                                        warp.pc, addr, inst.width,
-                                        is_store);
-        if (launch_.memlog && space == MemSpace::Global) {
-            MemEvent e;
-            e.kind = is_store ? MemEvent::Kind::Store
-                              : MemEvent::Kind::Load;
-            e.width = inst.width;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = gtid;
-            e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = sm.cycle;
-            e.addr = addr;
-            e.value = is_store ? store_val.get(lane) : 0;
-            e.value2 = is_store ? 0 : dst_row[lane];
-            launch_.memlog->record(e);
-        }
+        if (observed)
+            observeAccess(sm, warp, inst, space, gtid, addr, inst.width,
+                          is_store, is_store ? store_val.get(lane) : 0,
+                          is_store ? 0 : dst_row[lane]);
 
-        if (space != MemSpace::Shared) {
-            const uint64_t line = probe_addr / config_.line_bytes;
-            // Coalesced warps hit the previous lane's line almost every
-            // time; only fall back to the full scan when they don't.
-            if (lines.empty() || lines.back() != line) {
-                if (std::find(lines.begin(), lines.end(), line) ==
-                    lines.end())
-                    lines.push_back(line);
+        if constexpr (!kFunctional) {
+            if (space != MemSpace::Shared) {
+                uint64_t probe_addr = addr;
+                if (space == MemSpace::Local) {
+                    // Interleave per-thread words so that lane-uniform
+                    // offsets coalesce, as the hardware's local-memory
+                    // mapping does.
+                    const uint64_t word = (addr - kLocalBase) >> 2;
+                    probe_addr = kLocalPhysBase +
+                                 (word * total_threads + gtid) * 4 +
+                                 (addr & 3);
+                }
+                const uint64_t line = probe_addr / config_.line_bytes;
+                // Coalesced warps hit the previous lane's line almost
+                // every time; only fall back to the full scan when they
+                // don't.
+                if (lines.empty() || lines.back() != line) {
+                    if (std::find(lines.begin(), lines.end(), line) ==
+                        lines.end())
+                        lines.push_back(line);
+                }
             }
         }
     }
@@ -1007,10 +1065,19 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
       default: break;
     }
 
-    // Timing: the LSU port is occupied for one slot per transaction
-    // plus any per-transaction check serialization (single-ported
-    // bounds/check structures) — this is a throughput cost shared by
-    // every warp on the SM, on top of the per-instruction latency.
+    if constexpr (!kFunctional)
+        lsuTiming(sm, warp, inst, space, extra, serialized);
+}
+
+void
+GpuSim::lsuTiming(SmCtx& sm, Warp& warp, const Instruction& inst,
+                  MemSpace space, unsigned extra, unsigned serialized)
+{
+    // The LSU port is occupied for one slot per transaction plus any
+    // per-transaction check serialization (single-ported bounds/check
+    // structures) — this is a throughput cost shared by every warp on
+    // the SM, on top of the per-instruction latency.
+    const std::vector<uint64_t>& lines = sm.lines_scratch;
     const unsigned ntrans = lines.empty() ? 1 : unsigned(lines.size());
     const unsigned occupancy = ntrans + serialized;
     const uint64_t start = std::max(sm.cycle, sm.lsu_busy_until);
@@ -1052,7 +1119,7 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
                   extra + queue_wait;
     }
 
-    if (!is_store && inst.dst >= 0)
+    if (!isStore(inst.op) && inst.dst >= 0)
         warp.reg_ready[unsigned(inst.dst)] = sm.cycle + latency;
     // Stores retire through the write queue; the warp itself moves on.
 }
@@ -1060,9 +1127,9 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
 // maskToWidth/applyAtomicRmw (arch/isa.hpp) are shared with the model
 // checker so both replay the same RMW data function.
 
+template <bool kFunctional>
 void
-GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
-                      bool functional)
+GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst)
 {
     const InstDesc& d = idesc_[warp.pc];
     const MemSpace space = d.space;
@@ -1081,15 +1148,7 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
     uint64_t* const dst_row =
         inst.dst >= 0 ? warp.regRow(unsigned(inst.dst)) : nullptr;
 
-    MemAccess access;
-    access.space = space;
-    access.is_store = writes;
-    access.width = uint8_t(width);
-    access.imm_offset = inst.imm_offset;
-    access.sm = sm.sm_id;
-    access.frame_base = config_.stack_top - program_.frame_bytes;
-    access.stack_top = config_.stack_top;
-    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
+    MemAccess access = lsuAccess(sm, inst, space, writes, width);
 
     SmCtx::AtomOp op;
     if (space == MemSpace::Global) {
@@ -1141,40 +1200,16 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
             op.cmps[lane] = is_cas ? v1.get(lane) : 0;
         }
 
-        if (launch_.sanitizer)
-            launch_.sanitizer->onAccess(space, warp.block,
-                                        warp.warp_in_block, gtid,
-                                        warp.pc, addr, width, writes,
-                                        /*is_atomic=*/true, inst.scope);
-        if (launch_.memlog && space == MemSpace::Global) {
-            MemEvent e;
-            e.kind = is_cas ? MemEvent::Kind::Cas
-                     : inst.aop == AtomicOp::Ld ? MemEvent::Kind::Load
-                     : inst.aop == AtomicOp::St ? MemEvent::Kind::Store
-                                                : MemEvent::Kind::Rmw;
-            e.is_atomic = true;
-            e.aop = inst.aop;
-            e.scope = inst.scope;
-            e.order = inst.order;
-            e.width = uint8_t(width);
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = gtid;
-            e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = sm.cycle;
-            e.addr = addr;
-            e.value = op.vals[lane];
-            e.value2 = op.cmps[lane];
-            launch_.memlog->record(e);
-        }
+        observeAccess(sm, warp, inst, space, gtid, addr, width, writes,
+                      op.vals[lane], op.cmps[lane]);
     }
 
     if (space == MemSpace::Shared) {
-        if (!functional && inst.dst >= 0)
-            warp.reg_ready[unsigned(inst.dst)] =
-                sm.cycle + config_.shared_latency + extra;
+        if constexpr (!kFunctional) {
+            if (inst.dst >= 0)
+                warp.reg_ready[unsigned(inst.dst)] =
+                    sm.cycle + config_.shared_latency + extra;
+        }
         return;
     }
 
@@ -1184,117 +1219,6 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
     sm.atom_q.push_back(op);
     warp.heap_pending = true;
     ++sm.heap_pending_warps;
-}
-
-void
-GpuSim::executeMemoryFunctional(SmCtx& sm, Warp& warp,
-                                const Instruction& inst)
-{
-    // The detection-relevant half of executeMemory: every mechanism
-    // check, the architectural load/store through the same per-SM
-    // global view / shared / local arenas, the sanitizer hook and the
-    // region profile — with the coalescer, caches, DRAM and LSU
-    // occupancy skipped entirely. Memory state and faults are
-    // therefore identical to the detailed tier's.
-    const InstDesc& d = idesc_[warp.pc];
-    const MemSpace space = d.space;
-    const bool is_store = d.is_store;
-    const unsigned addr_reg = unsigned(inst.src[0].value);
-
-    const uint64_t* addr_row = warp.regRow(addr_reg);
-    const ResolvedSrc store_val =
-        is_store ? resolveSrc(warp, d, 1) : ResolvedSrc{};
-    uint64_t* const dst_row =
-        (!is_store && inst.dst >= 0) ? warp.regRow(unsigned(inst.dst))
-                                     : nullptr;
-    SparseMemory* const local_base =
-        sm.local_arena.empty()
-            ? nullptr // kernel has no local-memory instructions
-            : sm.local_arena.data() +
-                  size_t(warp.local_slot) * config_.warp_size;
-
-    MemAccess access;
-    access.space = space;
-    access.is_store = is_store;
-    access.width = inst.width;
-    access.imm_offset = inst.imm_offset;
-    access.sm = sm.sm_id;
-    access.frame_base = config_.stack_top - program_.frame_bytes;
-    access.stack_top = config_.stack_top;
-    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
-
-    for (unsigned lane = 0; lane < warp.lanes; ++lane) {
-        if (!(warp.active & (1u << lane)))
-            continue;
-        access.reg_value = addr_row[lane];
-        access.gtid = warp.first_gtid + lane;
-
-        MemCheck check = mech_.onMemAccess(access);
-        if (check.fault) {
-            pendFault(sm, *check.fault);
-            return;
-        }
-
-        const uint64_t addr = check.address;
-        switch (space) {
-          case MemSpace::Global:
-            if (is_store)
-                sm.gview.write(addr, store_val.get(lane), inst.width);
-            else
-                dst_row[lane] = sm.gview.read(addr, inst.width);
-            break;
-          case MemSpace::Shared:
-            if (is_store)
-                warp.shared->write(addr, store_val.get(lane), inst.width);
-            else
-                dst_row[lane] = warp.shared->read(addr, inst.width);
-            break;
-          case MemSpace::Local: {
-            SparseMemory* mem = local_base + lane;
-            if (is_store)
-                mem->write(addr, store_val.get(lane), inst.width);
-            else
-                dst_row[lane] = mem->read(addr, inst.width);
-            break;
-          }
-          case MemSpace::Constant:
-            lmi_panic("constant space reached the LSU");
-        }
-
-        if (launch_.sanitizer)
-            launch_.sanitizer->onAccess(space, warp.block,
-                                        warp.warp_in_block,
-                                        access.gtid, warp.pc, addr,
-                                        inst.width, is_store);
-        if (launch_.memlog && space == MemSpace::Global) {
-            MemEvent e;
-            e.kind = is_store ? MemEvent::Kind::Store
-                              : MemEvent::Kind::Load;
-            e.width = inst.width;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = access.gtid;
-            e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = sm.cycle;
-            e.addr = addr;
-            e.value = is_store ? store_val.get(lane) : 0;
-            e.value2 = is_store ? 0 : dst_row[lane];
-            launch_.memlog->record(e);
-        }
-    }
-
-    // Region profile (Fig. 1).
-    switch (inst.op) {
-      case Opcode::LDG: ++sm.cnt.ldg; break;
-      case Opcode::STG: ++sm.cnt.stg; break;
-      case Opcode::LDS: ++sm.cnt.lds; break;
-      case Opcode::STS: ++sm.cnt.sts; break;
-      case Opcode::LDL: ++sm.cnt.ldl; break;
-      case Opcode::STL: ++sm.cnt.stl; break;
-      default: break;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1467,20 +1391,10 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
             pendFault(sm, std::move(f));
             return true;
         }
-        if (launch_.memlog) {
-            MemEvent e;
-            e.kind = MemEvent::Kind::Barrier;
-            e.scope = MemScope::Cta;
-            e.order = MemOrder::AcqRel;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = warp.first_gtid;
-            e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = cycle;
-            launch_.memlog->record(e);
-        }
+        if (launch_.memlog)
+            logEvent(MemEvent::Kind::Barrier, sm, warp, warp.first_gtid,
+                     warp.pc, sm.event_seq++, cycle, 0, 0, MemScope::Cta,
+                     MemOrder::AcqRel);
         warp.at_barrier = true;
         warp.barrier_pc = warp.pc;
         ++sm.at_barrier_warps;
@@ -1495,20 +1409,10 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         // strong as the fence requests at any scope. The event is still
         // logged — the model checker replays it as an ordering edge
         // when it explores interleavings weaker than the engine's.
-        if (launch_.memlog) {
-            MemEvent e;
-            e.kind = MemEvent::Kind::Fence;
-            e.scope = inst.scope;
-            e.order = inst.order;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = warp.first_gtid;
-            e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = cycle;
-            launch_.memlog->record(e);
-        }
+        if (launch_.memlog)
+            logEvent(MemEvent::Kind::Fence, sm, warp, warp.first_gtid,
+                     warp.pc, sm.event_seq++, cycle, 0, 0, inst.scope,
+                     inst.order);
         ++warp.pc;
         return true;
       }
@@ -1547,11 +1451,9 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
 
     if (d.is_mem) {
         if (isAtomic(inst.op))
-            executeAtomic(sm, warp, inst, kFunctional);
-        else if constexpr (kFunctional)
-            executeMemoryFunctional(sm, warp, inst);
+            executeAtomic<kFunctional>(sm, warp, inst);
         else
-            executeMemory(sm, warp, inst);
+            executeMemory<kFunctional>(sm, warp, inst);
         ++warp.pc;
         return true;
     }
@@ -2194,19 +2096,10 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                     mech_.onDeviceAlloc(ptr, size);
                     if (launch_.sanitizer)
                         launch_.sanitizer->onDeviceAlloc(ptr, size);
-                    if (launch_.memlog) {
-                        MemEvent e;
-                        e.kind = MemEvent::Kind::Malloc;
-                        e.sm = sm.sm_id;
-                        e.block = w.block;
-                        e.warp = w.warp_in_block;
-                        e.gtid = w.first_gtid + lane;
-                        e.seq = op.seq;
-                        e.cycle = op.cycle;
-                        e.addr = ptr;
-                        e.value = size;
-                        launch_.memlog->record(e);
-                    }
+                    if (launch_.memlog)
+                        logEvent(MemEvent::Kind::Malloc, sm, w,
+                                 w.first_gtid + lane, 0, op.seq, op.cycle,
+                                 ptr, size);
                     w.reg(lane, unsigned(op.dst)) = ptr;
                 } else {
                     const uint64_t ptr = op.vals[lane];
@@ -2219,18 +2112,10 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         faulted = true;
                         break;
                     }
-                    if (launch_.memlog) {
-                        MemEvent e;
-                        e.kind = MemEvent::Kind::Free;
-                        e.sm = sm.sm_id;
-                        e.block = w.block;
-                        e.warp = w.warp_in_block;
-                        e.gtid = w.first_gtid + lane;
-                        e.seq = op.seq;
-                        e.cycle = op.cycle;
-                        e.addr = ptr;
-                        launch_.memlog->record(e);
-                    }
+                    if (launch_.memlog)
+                        logEvent(MemEvent::Kind::Free, sm, w,
+                                 w.first_gtid + lane, 0, op.seq, op.cycle,
+                                 ptr, 0);
                 }
             }
             if (op.is_malloc) {

@@ -100,8 +100,10 @@ struct Launch
 
 /**
  * Effective worker count for @p config: sim_threads if nonzero, else
- * the LMI_SIM_THREADS environment variable, else 1. (The simulator
- * additionally caps it at the number of active SMs per launch.)
+ * the LMI_SIM_THREADS environment variable, else 1 (unset and 0 both
+ * mean 1). Throws FatalError naming the variable when it is set to
+ * anything but a decimal unsigned integer. (The simulator additionally
+ * caps the count at the number of active SMs per launch.)
  */
 unsigned resolveSimThreads(const GpuConfig& config);
 
@@ -183,20 +185,52 @@ class GpuSim
     /** One issue step; @p kFunctional skips the timing model. The
      *  false instantiation is the historical detailed issue path. */
     template <bool kFunctional> bool issueWarpT(SmCtx& sm, Warp& warp);
-    void executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst);
-    /** Functional memory execution: mechanism checks, architectural
-     *  state and sanitizing without coalescing, caches or the LSU. */
-    void executeMemoryFunctional(SmCtx& sm, Warp& warp,
-                                 const Instruction& inst);
     /**
-     * Scoped atomic execution (ATOM*, CAS*), shared by both tiers.
-     * Shared-memory atomics are SM-private and execute immediately;
-     * global atomics run their mechanism checks now but defer the
-     * read-modify-write to the slice barrier (shared, order-dependent
-     * state — same treatment as heap ops), parking the warp until then.
+     * The LSU, one routine for both tiers: per lane, the mechanism
+     * check (faults pend here), the architectural load/store, the
+     * observers and the Fig. 1 region counters. The detailed
+     * instantiation also collects coalesced lines and runs lsuTiming;
+     * the functional one compiles all timing out, so memory contents
+     * and faults are tier-invariant by construction.
      */
-    void executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
-                       bool functional);
+    template <bool kFunctional>
+    void executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst);
+    /** Detailed-tier LSU timing for the lines executeMemory collected:
+     *  port occupancy, L1/L2/DRAM latency, destination ready cycle. */
+    void lsuTiming(SmCtx& sm, Warp& warp, const Instruction& inst,
+                   MemSpace space, unsigned extra, unsigned serialized);
+    /**
+     * Scoped atomic execution (ATOM*, CAS*); @p kFunctional skips the
+     * result latency. Shared-memory atomics are SM-private and execute
+     * immediately; global atomics run their mechanism checks now but
+     * defer the read-modify-write to the slice barrier (shared,
+     * order-dependent state — same treatment as heap ops), parking the
+     * warp until then.
+     */
+    template <bool kFunctional>
+    void executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst);
+    /** The mechanism's view of one LSU access (per-lane fields unset). */
+    MemAccess lsuAccess(const SmCtx& sm, const Instruction& inst,
+                        MemSpace space, bool writes, unsigned width) const;
+    /**
+     * The one emission point for executed accesses (loads, stores and
+     * atomics, both tiers): feeds the race sanitizer and, for global
+     * space, records the MemEvent. @p value / @p value2 are the store
+     * value / RMW operand / CAS desired and the loaded value / CAS
+     * expected.
+     */
+    void observeAccess(SmCtx& sm, const Warp& warp, const Instruction& inst,
+                       MemSpace space, uint32_t gtid, uint64_t addr,
+                       unsigned width, bool writes, uint64_t value,
+                       uint64_t value2);
+    /** Record a barrier, fence or device malloc/free event (callers
+     *  check launch_.memlog: barrier and fence seqs exist only when a
+     *  log is attached). */
+    void logEvent(MemEvent::Kind kind, const SmCtx& sm, const Warp& warp,
+                  uint32_t gtid, uint64_t pc, uint64_t seq, uint64_t cycle,
+                  uint64_t addr, uint64_t value,
+                  MemScope scope = MemScope::Cta,
+                  MemOrder order = MemOrder::Relaxed);
     uint64_t operandValue(const Warp& warp, unsigned lane,
                           const Operand& op) const;
     void admitBlocks(SmCtx& sm);

@@ -12,8 +12,10 @@
  * order-independent digest of global memory.
  */
 
+#include <cstdlib>
 #include <gtest/gtest.h>
 
+#include "common/logging.hpp"
 #include "ir/builder.hpp"
 #include "mechanisms/registry.hpp"
 #include "workloads/workloads.hpp"
@@ -167,6 +169,41 @@ TEST(ParallelSim, FaultingRunByteIdenticalAcrossThreadCounts)
             expectIdentical(serial, runOobAt(kind, threads));
         }
     }
+}
+
+TEST(ParallelSim, MalformedSimThreadsEnvIsFatal)
+{
+    // LMI_SIM_THREADS is parsed strictly: a typo must stop the run
+    // rather than quietly pick some other worker count. Unset and 0
+    // both mean one thread; an explicit config count ignores the
+    // variable altogether.
+    const char* env = std::getenv("LMI_SIM_THREADS");
+    const std::string saved = env ? env : "";
+    const GpuConfig inherit; // sim_threads = 0: defer to the variable
+    GpuConfig explicit_two;
+    explicit_two.sim_threads = 2;
+
+    for (const char* bad : {"4x", "garbage", "-1", "", " 2"}) {
+        SCOPED_TRACE(std::string("LMI_SIM_THREADS='") + bad + "'");
+        setenv("LMI_SIM_THREADS", bad, 1);
+        try {
+            resolveSimThreads(inherit);
+            ADD_FAILURE() << "malformed value accepted";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("LMI_SIM_THREADS"),
+                      std::string::npos);
+        }
+        EXPECT_EQ(resolveSimThreads(explicit_two), 2u);
+    }
+    setenv("LMI_SIM_THREADS", "0", 1);
+    EXPECT_EQ(resolveSimThreads(inherit), 1u);
+    setenv("LMI_SIM_THREADS", "3", 1);
+    EXPECT_EQ(resolveSimThreads(inherit), 3u);
+    unsetenv("LMI_SIM_THREADS");
+    EXPECT_EQ(resolveSimThreads(inherit), 1u);
+
+    if (env)
+        setenv("LMI_SIM_THREADS", saved.c_str(), 1);
 }
 
 } // namespace

@@ -325,7 +325,7 @@ TEST(RaceSanitizer, CleanLaunchHasNoConflictsAndIdenticalOutput)
     };
 
     const unsigned n = 64;
-    auto run = [&](RaceSanitizer* sanitizer) {
+    auto run = [&](RaceSanitizer* sanitizer, ExecutionTier tier) {
         Device dev;
         const uint64_t in = dev.cudaMalloc(n * 4);
         const uint64_t out = dev.cudaMalloc(n * 4);
@@ -334,6 +334,7 @@ TEST(RaceSanitizer, CleanLaunchHasNoConflictsAndIdenticalOutput)
         const CompiledKernel k = dev.compile(build(), "rev");
         LaunchOptions opts;
         opts.sanitizer = sanitizer;
+        opts.tier = tier;
         const RunResult r = dev.launch(k, 1, n, {in, out}, opts);
         std::vector<uint32_t> result;
         for (unsigned i = 0; i < n; ++i)
@@ -341,15 +342,20 @@ TEST(RaceSanitizer, CleanLaunchHasNoConflictsAndIdenticalOutput)
         return std::make_pair(r, result);
     };
 
-    RaceSanitizer sanitizer;
-    const auto plain = run(nullptr);
-    const auto watched = run(&sanitizer);
-    EXPECT_FALSE(plain.first.faulted());
-    EXPECT_FALSE(watched.first.faulted());
-    EXPECT_EQ(plain.second, watched.second);
-    EXPECT_EQ(plain.first.cycles, watched.first.cycles);
-    EXPECT_EQ(sanitizer.conflictCount(), 0u);
-    EXPECT_GT(sanitizer.wordsTracked(), 0u);
+    // Both tiers feed the sanitizer from the same LSU routine.
+    for (const ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+        SCOPED_TRACE(executionTierName(tier));
+        RaceSanitizer sanitizer;
+        const auto plain = run(nullptr, tier);
+        const auto watched = run(&sanitizer, tier);
+        EXPECT_FALSE(plain.first.faulted());
+        EXPECT_FALSE(watched.first.faulted());
+        EXPECT_EQ(plain.second, watched.second);
+        EXPECT_EQ(plain.first.cycles, watched.first.cycles);
+        EXPECT_EQ(sanitizer.conflictCount(), 0u);
+        EXPECT_GT(sanitizer.wordsTracked(), 0u);
+    }
 }
 
 TEST(RaceSanitizer, BroadcastLaunchReportsCrossWarpConflicts)
@@ -360,17 +366,23 @@ TEST(RaceSanitizer, BroadcastLaunchReportsCrossWarpConflicts)
     b.store(b.gep(b.param(0), b.constInt(0)), b.tid());
     b.ret();
 
-    Device dev;
-    const uint64_t out = dev.cudaMalloc(256);
-    const CompiledKernel k = dev.compile(module(std::move(f)), "bcast");
-    RaceSanitizer sanitizer;
-    LaunchOptions opts;
-    opts.sanitizer = &sanitizer;
-    const RunResult r = dev.launch(k, 1, 64, {out}, opts);
-    EXPECT_FALSE(r.faulted());
-    EXPECT_GT(sanitizer.conflictCount(), 0u);
-    ASSERT_FALSE(sanitizer.reports().empty());
-    EXPECT_EQ(sanitizer.reports()[0].space, MemSpace::Global);
+    const IrModule m = module(std::move(f));
+    for (const ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+        SCOPED_TRACE(executionTierName(tier));
+        Device dev;
+        const uint64_t out = dev.cudaMalloc(256);
+        const CompiledKernel k = dev.compile(m, "bcast");
+        RaceSanitizer sanitizer;
+        LaunchOptions opts;
+        opts.sanitizer = &sanitizer;
+        opts.tier = tier;
+        const RunResult r = dev.launch(k, 1, 64, {out}, opts);
+        EXPECT_FALSE(r.faulted());
+        EXPECT_GT(sanitizer.conflictCount(), 0u);
+        ASSERT_FALSE(sanitizer.reports().empty());
+        EXPECT_EQ(sanitizer.reports()[0].space, MemSpace::Global);
+    }
 }
 
 } // namespace

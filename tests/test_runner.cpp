@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <thread>
 
 #include "arch/mem_map.hpp"
@@ -187,6 +188,54 @@ TEST(SweepCache, HitsOnRerunMissesOnConfigChange)
     EXPECT_EQ(changed.cache_misses, changed.cells.size());
     for (const CellResult& cell : changed.cells)
         EXPECT_FALSE(cell.from_cache);
+
+    fs::remove_all(spec.cache_dir);
+}
+
+TEST(SweepCache, CorruptNumericFieldIsAMiss)
+{
+    // A damaged number must not be served as a hit ("cycles=12x" as 12,
+    // "cycles=" as 0): the entry is rejected and the cell re-simulated.
+    SweepSpec spec = tinySpec();
+    spec.profiles.resize(1);
+    spec.mechanisms = {MechanismKind::Lmi};
+    spec.jobs = 1;
+    spec.cache_dir = freshDir("numeric");
+    const SweepResult cold = runSweep(spec);
+    ASSERT_EQ(cold.cells.size(), 1u);
+    ASSERT_TRUE(cold.cells[0].ok);
+
+    for (const std::string bad : {"12x", "", "-3", "1e3"}) {
+        SCOPED_TRACE("cycles=" + bad);
+        for (const auto& entry : fs::directory_iterator(spec.cache_dir)) {
+            std::ifstream in(entry.path());
+            std::string text((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+            in.close();
+            const size_t at = text.find("\ncycles=");
+            ASSERT_NE(at, std::string::npos);
+            const size_t eol = text.find('\n', at + 1);
+            text.replace(at + 8, eol - (at + 8), bad);
+            std::ofstream(entry.path(), std::ios::trunc) << text;
+        }
+        const SweepResult rerun = runSweep(spec);
+        EXPECT_EQ(rerun.cache_hits, 0u);
+        EXPECT_FALSE(rerun.cells[0].from_cache);
+        EXPECT_EQ(payloads(rerun), payloads(cold));
+    }
+
+    // A fault kind past the last enumerator is malformed too.
+    CellResult cell;
+    cell.fingerprint = 44;
+    cell.ok = true;
+    cell.result.faults.push_back({FaultKind::SpatialOverflow, 0x40, "x"});
+    std::string text = serializeCellPayload(cell);
+    CellResult out;
+    ASSERT_TRUE(deserializeCellPayload(text, 44, &out));
+    const size_t at = text.find("fault=0|");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 8, "fault=99|");
+    EXPECT_FALSE(deserializeCellPayload(text, 44, &out));
 
     fs::remove_all(spec.cache_dir);
 }

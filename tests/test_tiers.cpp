@@ -7,6 +7,8 @@
  *    architectural results — instruction counts, memory-region profile,
  *    faults, and mechanism detection counters — on the whole Table V
  *    suite and on the full Table III violation matrix;
+ *  - both tiers must log the same multiset of global loads and stores
+ *    (one LSU routine emits them);
  *  - functional runs must stay deterministic across sim_threads, like
  *    the detailed tier's byte-identity guarantee;
  *  - the result-cache fingerprint must separate tiers so no cross-tier
@@ -14,11 +16,14 @@
  *    entries keep hitting.
  */
 
+#include <algorithm>
 #include <gtest/gtest.h>
+#include <tuple>
 
 #include "mechanisms/registry.hpp"
 #include "runner/sweep.hpp"
 #include "security/violations.hpp"
+#include "sim/mem_event.hpp"
 #include "workloads/workloads.hpp"
 
 namespace lmi {
@@ -94,6 +99,42 @@ TEST(TierCrossValidation, FunctionalMatchesDetailedDetectionMatrix)
             evaluateMechanism(kind, ExecutionTier::Functional);
         EXPECT_EQ(det.detected, fn.detected);
         EXPECT_EQ(det.total, fn.total);
+    }
+}
+
+TEST(TierCrossValidation, FunctionalLogsSameGlobalAccessesAsDetailed)
+{
+    // Both tiers emit access events from one LSU routine. On race-free
+    // kernels without device-heap traffic, the multiset of logged
+    // global loads and stores must therefore match exactly; only their
+    // order (and cycle stamps) may differ between tiers.
+    using Key = std::tuple<MemEvent::Kind, uint32_t, uint64_t, uint64_t,
+                           uint8_t, uint64_t>;
+    auto accesses = [](const WorkloadProfile& profile, ExecutionTier tier) {
+        Device dev(makeMechanism(MechanismKind::Lmi));
+        MemEventLog log;
+        LaunchOptions opts;
+        opts.tier = tier;
+        opts.memlog = &log;
+        runWorkload(dev, profile, 0.1, RaceSeed::None, opts);
+        std::vector<Key> keys;
+        for (const MemEvent& e : log.events())
+            if (e.kind == MemEvent::Kind::Load ||
+                e.kind == MemEvent::Kind::Store)
+                keys.emplace_back(e.kind, e.gtid, e.pc, e.addr, e.width,
+                                  e.value);
+        std::sort(keys.begin(), keys.end());
+        return keys;
+    };
+
+    for (const char* name : {"backprop", "bfs", "dwt2d", "hotspot"}) {
+        SCOPED_TRACE(name);
+        const WorkloadProfile profile = findWorkload(name);
+        ASSERT_EQ(profile.heap_allocs, 0u);
+        const std::vector<Key> det =
+            accesses(profile, ExecutionTier::Detailed);
+        EXPECT_FALSE(det.empty());
+        EXPECT_EQ(det, accesses(profile, ExecutionTier::Functional));
     }
 }
 
