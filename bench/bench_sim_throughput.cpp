@@ -1,25 +1,29 @@
 /**
  * @file
- * Tracked simulator-throughput benchmark: how many GPU cycles the
- * simulator retires per wall-clock second, and at what memory cost.
+ * Tracked simulator-throughput benchmark: how many simulated warp
+ * instructions the simulator retires per wall-clock second (winst/s),
+ * and at what memory cost.
  *
  * Runs a fixed basket of Table V workloads under the baseline and every
  * Fig. 12 mechanism (serially by default, so the rate is not a function
- * of host core count), then reports per-mechanism and aggregate
- * simulation rate (million simulated cycles per second) plus the
- * process peak RSS, and writes the numbers to a JSON file
- * (BENCH_sim_throughput.json by default — the committed copy at the
- * repo root is the tracked baseline).
+ * of host core count), then reports per-mechanism and aggregate warp
+ * instructions and winst/s plus the process peak RSS, and writes the
+ * numbers to a JSON file (BENCH_sim_throughput.json by default — the
+ * committed copy at the repo root is the tracked baseline). Simulated
+ * cycles are reported too, but they are not a rate's numerator: a
+ * launch's cycles are its slowest SM's, so a timing-model change can
+ * move cycles/s without any change in simulator speed.
  *
  * Regression mode: `--check FILE [--tolerance PCT]` re-measures and
- * exits non-zero when the aggregate rate fell more than PCT percent
- * (default 30) below the rate recorded in FILE. CI's perf-smoke job
- * runs exactly that against the committed baseline. The check always
- * gates the *serial* rate — thread-scaling numbers vary with the host.
+ * exits non-zero when aggregate_winst_per_sec fell more than PCT
+ * percent (default 30) below the rate recorded in FILE. CI's
+ * perf-smoke job runs exactly that against the committed baseline. The
+ * check always gates the *serial* rate — thread-scaling numbers vary
+ * with the host.
  *
  * Thread-scaling mode: `--threads 1,2,4,8` re-runs the basket with the
  * simulator's per-launch SM worker pool at each count (results are
- * byte-identical; only wall clock changes) and reports Mcycles/s plus
+ * byte-identical; only wall clock changes) and reports winst/s plus
  * parallel efficiency per count, recorded under "thread_scaling" in
  * the JSON together with the host's hardware concurrency. When
  * combined with `--check` on a multi-core host, the widest in-core
@@ -28,11 +32,9 @@
  * there is physics, not a regression.
  *
  * Tier pass: unless `--no-tiers` is given, the basket is re-run under
- * the functional execution tier. Its throughput is reported as
- * *equivalent* Mcycles/s — the detailed pass's aggregate cycles divided
- * by the tier's wall clock, i.e. the rate at which the tier retires the
- * same simulated work — along with the speedup over detailed. Recorded
- * under "tiers" in the JSON.
+ * the functional execution tier, which executes the same warp
+ * instructions without the timing model; its winst/s and speedup over
+ * detailed are recorded under "tiers" in the JSON.
  *
  * usage: bench_sim_throughput [scale] [--jobs N] [--out FILE]
  *                             [--check FILE] [--tolerance PCT]
@@ -66,16 +68,20 @@ namespace {
 const char* const kBasket[] = {"bfs", "gaussian", "hotspot", "needle",
                                "bert"};
 
+/** Warp instructions per host second. */
+double
+winstPerSec(uint64_t winst, double wall_ms)
+{
+    return wall_ms > 0.0 ? double(winst) * 1000.0 / wall_ms : 0.0;
+}
+
 struct MechRate
 {
     uint64_t cycles = 0;
+    uint64_t winst = 0; ///< simulated warp instructions
     double wall_ms = 0.0;
 
-    double
-    mcps() const
-    {
-        return wall_ms > 0.0 ? double(cycles) / wall_ms / 1000.0 : 0.0;
-    }
+    double rate() const { return winstPerSec(winst, wall_ms); }
 };
 
 long
@@ -87,7 +93,7 @@ peakRssKb()
     return ru.ru_maxrss; // KiB on Linux
 }
 
-/** Pull "aggregate_mcycles_per_sec": <num> out of a baseline JSON with
+/** Pull "aggregate_winst_per_sec": <num> out of a baseline JSON with
  *  a plain scan — the file is our own flat rendering, not arbitrary
  *  JSON. Returns 0 when absent/unreadable. */
 double
@@ -99,7 +105,7 @@ baselineRate(const std::string& path)
     std::ostringstream text;
     text << in.rdbuf();
     const std::string s = text.str();
-    const char* key = "\"aggregate_mcycles_per_sec\":";
+    const char* key = "\"aggregate_winst_per_sec\":";
     const size_t pos = s.find(key);
     if (pos == std::string::npos)
         return 0.0;
@@ -154,7 +160,7 @@ main(int argc, char** argv)
     }
 
     bench::banner("Simulator throughput",
-                  "simulated Mcycles per wall-clock second");
+                  "simulated warp instructions per wall-clock second");
 
     SweepSpec spec;
     for (const char* w : kBasket)
@@ -180,20 +186,23 @@ main(int argc, char** argv)
     std::map<std::string, MechRate> rates;
     MechRate total;
     for (const CellResult& cell : sweep.cells) {
-        MechRate& r = rates[mechanismKindName(cell.mechanism)];
-        r.cycles += cell.result.cycles;
-        r.wall_ms += cell.wall_ms;
-        total.cycles += cell.result.cycles;
-        total.wall_ms += cell.wall_ms;
+        for (MechRate* r :
+             {&rates[mechanismKindName(cell.mechanism)], &total}) {
+            r->cycles += cell.result.cycles;
+            r->winst += cell.result.instructions;
+            r->wall_ms += cell.wall_ms;
+        }
     }
 
-    TextTable table({"mechanism", "cycles", "wall_ms",
-                     "mcycles_per_sec"});
+    TextTable table({"mechanism", "cycles", "warp_insts", "wall_ms",
+                     "winst_per_sec"});
     for (const auto& [name, r] : rates)
-        table.addRow({name, std::to_string(r.cycles), fmtF(r.wall_ms, 1),
-                      fmtF(r.mcps(), 2)});
+        table.addRow({name, std::to_string(r.cycles),
+                      std::to_string(r.winst), fmtF(r.wall_ms, 1),
+                      fmtF(r.rate(), 0)});
     table.addRow({"TOTAL", std::to_string(total.cycles),
-                  fmtF(total.wall_ms, 1), fmtF(total.mcps(), 2)});
+                  std::to_string(total.winst), fmtF(total.wall_ms, 1),
+                  fmtF(total.rate(), 0)});
     std::printf("%s", table.render().c_str());
 
     const long rss_kb = peakRssKb();
@@ -207,9 +216,9 @@ main(int argc, char** argv)
     struct ScalePoint
     {
         unsigned threads = 1;
-        uint64_t cycles = 0;
+        uint64_t winst = 0;
         double wall_ms = 0.0;
-        double mcps = 0.0;
+        double rate = 0.0;
         double efficiency = 1.0;
     };
     std::vector<ScalePoint> scaling;
@@ -229,29 +238,27 @@ main(int argc, char** argv)
             ScalePoint pt;
             pt.threads = t;
             for (const CellResult& cell : ts.cells) {
-                pt.cycles += cell.result.cycles;
+                pt.winst += cell.result.instructions;
                 pt.wall_ms += cell.wall_ms;
             }
-            pt.mcps = pt.wall_ms > 0.0
-                          ? double(pt.cycles) / pt.wall_ms / 1000.0
-                          : 0.0;
+            pt.rate = winstPerSec(pt.winst, pt.wall_ms);
             scaling.push_back(pt);
         }
         // Efficiency is speedup over the 1-thread point of this same
         // pass (or the serial headline rate when 1 is not in the list)
         // divided by the thread count.
-        double base_rate = total.mcps();
+        double base_rate = total.rate();
         for (const ScalePoint& pt : scaling)
-            if (pt.threads == 1 && pt.mcps > 0.0)
-                base_rate = pt.mcps;
-        TextTable scale_table({"threads", "wall_ms", "mcycles_per_sec",
+            if (pt.threads == 1 && pt.rate > 0.0)
+                base_rate = pt.rate;
+        TextTable scale_table({"threads", "wall_ms", "winst_per_sec",
                                "speedup", "efficiency"});
         for (ScalePoint& pt : scaling) {
             const double speedup =
-                base_rate > 0.0 ? pt.mcps / base_rate : 0.0;
+                base_rate > 0.0 ? pt.rate / base_rate : 0.0;
             pt.efficiency = pt.threads ? speedup / pt.threads : 0.0;
             scale_table.addRow({std::to_string(pt.threads),
-                                fmtF(pt.wall_ms, 1), fmtF(pt.mcps, 2),
+                                fmtF(pt.wall_ms, 1), fmtF(pt.rate, 0),
                                 fmtF(speedup, 2) + "x",
                                 fmtF(100.0 * pt.efficiency, 1) + "%"});
         }
@@ -260,18 +267,11 @@ main(int argc, char** argv)
                     scale_table.render().c_str());
     }
 
-    // Tier pass: same basket, same serial engine, functional tier. The
-    // meaningful rate for a tier that estimates cycles is how fast it
-    // retires the *detailed* tier's work, so it is scored as
-    // detailed-aggregate-cycles over its own wall clock.
-    struct TierPoint
-    {
-        uint64_t est_cycles = 0; ///< the tier's own cycle estimates
-        double wall_ms = 0.0;
-        double equiv_mcps = 0.0;
-        double speedup = 0.0;
-    };
-    TierPoint func;
+    // Tier pass: same basket, same serial engine, functional tier. It
+    // executes the same warp instructions as the detailed pass, so the
+    // two rates compare directly.
+    MechRate func;
+    double func_speedup = 0.0;
     if (run_tiers) {
         SweepSpec tspec = spec;
         tspec.tier = ExecutionTier::Functional;
@@ -284,23 +284,20 @@ main(int argc, char** argv)
             return 1;
         }
         for (const CellResult& cell : ts.cells) {
-            func.est_cycles += cell.result.cycles;
+            func.cycles += cell.result.cycles;
+            func.winst += cell.result.instructions;
             func.wall_ms += cell.wall_ms;
         }
-        func.equiv_mcps = func.wall_ms > 0.0 ? double(total.cycles) /
-                                                   func.wall_ms / 1000.0
-                                             : 0.0;
-        func.speedup =
-            total.mcps() > 0.0 ? func.equiv_mcps / total.mcps() : 0.0;
-        TextTable tier_table({"tier", "wall_ms", "equiv_mcycles_per_sec",
+        func_speedup =
+            total.rate() > 0.0 ? func.rate() / total.rate() : 0.0;
+        TextTable tier_table({"tier", "wall_ms", "winst_per_sec",
                               "speedup_vs_detailed"});
         tier_table.addRow({"detailed", fmtF(total.wall_ms, 1),
-                           fmtF(total.mcps(), 2), "1.00x"});
+                           fmtF(total.rate(), 0), "1.00x"});
         tier_table.addRow({"functional", fmtF(func.wall_ms, 1),
-                           fmtF(func.equiv_mcps, 2),
-                           fmtF(func.speedup, 2) + "x"});
-        std::printf("\nexecution tiers (equivalent rate = detailed "
-                    "cycles / tier wall):\n%s",
+                           fmtF(func.rate(), 0),
+                           fmtF(func_speedup, 2) + "x"});
+        std::printf("\nexecution tiers:\n%s",
                     tier_table.render().c_str());
     }
 
@@ -321,14 +318,16 @@ main(int argc, char** argv)
     size_t n = 0;
     for (const auto& [name, r] : rates) {
         out << "    \"" << name << "\": {\"cycles\": " << r.cycles
+            << ", \"warp_insts\": " << r.winst
             << ", \"wall_ms\": " << fmtF(r.wall_ms, 3)
-            << ", \"mcycles_per_sec\": " << fmtF(r.mcps(), 3) << "}"
+            << ", \"winst_per_sec\": " << fmtF(r.rate(), 0) << "}"
             << (++n < rates.size() ? "," : "") << "\n";
     }
     out << "  },\n";
     out << "  \"aggregate_cycles\": " << total.cycles << ",\n";
+    out << "  \"aggregate_warp_insts\": " << total.winst << ",\n";
     out << "  \"aggregate_wall_ms\": " << fmtF(total.wall_ms, 3) << ",\n";
-    out << "  \"aggregate_mcycles_per_sec\": " << fmtF(total.mcps(), 3)
+    out << "  \"aggregate_winst_per_sec\": " << fmtF(total.rate(), 0)
         << ",\n";
     out << "  \"peak_rss_kb\": " << rss_kb << ",\n";
     // Always record the host width: rate baselines from a 1-CPU
@@ -338,9 +337,10 @@ main(int argc, char** argv)
     if (run_tiers) {
         out << ",\n  \"tiers\": {\n";
         out << "    \"functional\": {\"wall_ms\": " << fmtF(func.wall_ms, 3)
-            << ", \"est_cycles\": " << func.est_cycles
-            << ", \"equiv_mcycles_per_sec\": " << fmtF(func.equiv_mcps, 3)
-            << ", \"speedup_vs_detailed\": " << fmtF(func.speedup, 3)
+            << ", \"est_cycles\": " << func.cycles
+            << ", \"warp_insts\": " << func.winst
+            << ", \"winst_per_sec\": " << fmtF(func.rate(), 0)
+            << ", \"speedup_vs_detailed\": " << fmtF(func_speedup, 3)
             << "}\n";
         out << "  }";
     }
@@ -350,7 +350,7 @@ main(int argc, char** argv)
             const ScalePoint& pt = scaling[i];
             out << "    {\"threads\": " << pt.threads
                 << ", \"wall_ms\": " << fmtF(pt.wall_ms, 3)
-                << ", \"mcycles_per_sec\": " << fmtF(pt.mcps, 3)
+                << ", \"winst_per_sec\": " << fmtF(pt.rate, 0)
                 << ", \"efficiency\": " << fmtF(pt.efficiency, 3) << "}"
                 << (i + 1 < scaling.size() ? "," : "") << "\n";
         }
@@ -363,15 +363,15 @@ main(int argc, char** argv)
     if (!check_path.empty()) {
         if (base <= 0.0) {
             std::fprintf(stderr,
-                         "error: no aggregate_mcycles_per_sec in %s\n",
+                         "error: no aggregate_winst_per_sec in %s\n",
                          check_path.c_str());
             return 1;
         }
         const double floor = base * (1.0 - tolerance / 100.0);
-        std::printf("regression check: %.2f Mc/s vs baseline %.2f "
-                    "(floor %.2f, tolerance %.0f%%)\n",
-                    total.mcps(), base, floor, tolerance);
-        if (total.mcps() < floor) {
+        std::printf("regression check: %.0f winst/s vs baseline %.0f "
+                    "(floor %.0f, tolerance %.0f%%)\n",
+                    total.rate(), base, floor, tolerance);
+        if (total.rate() < floor) {
             std::fprintf(stderr,
                          "error: throughput regressed more than %.0f%%\n",
                          tolerance);

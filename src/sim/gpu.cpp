@@ -289,6 +289,15 @@ struct GpuSim::Warp
     std::array<uint64_t, kNumPredRegs> pred_ready{};
     std::vector<std::pair<uint64_t, uint32_t>> stack; ///< (pc, mask)
     uint64_t stall_until = 0;
+    /**
+     * Cached warpReadyAt(*this), read by the detailed tier's GTO pick,
+     * sleep scan and stall fast-forward. Its inputs (done, at_barrier,
+     * heap_pending, stall_until, pc and the scoreboards) change only in
+     * issueWarpT on this warp, at barrier release, at heap/atomic
+     * unpark in commitSlice and at admission; each of those refreshes
+     * it. The functional tier never reads it.
+     */
+    uint64_t ready_at = 0;
     bool at_barrier = false;
     /** Parked on a device malloc/free or a global atomic until the
      *  slice barrier executes the deferred operation. */
@@ -409,6 +418,7 @@ struct GpuSim::SmCtx
     unsigned live_warps = 0;       ///< warps admitted and not done
     unsigned at_barrier_warps = 0; ///< warps parked on a barrier
     unsigned heap_pending_warps = 0; ///< warps parked on a heap/atomic op
+    bool started = false;          ///< arenas sized, first wave admitted
     bool retire_pending = false;   ///< some block completed all warps
     bool finished = false;         ///< all blocks retired
     bool stopped = false;          ///< faulted; awaiting the barrier
@@ -668,16 +678,36 @@ GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
       launch_(std::move(launch)),
       l2_(config.l2_size, config.l2_assoc, config.line_bytes)
 {
-    // Register file width: highest register index any instruction names.
-    unsigned max_reg = kStackPtrReg;
-    for (const auto& inst : program_.code) {
-        if (inst.dst > int(max_reg) && inst.op != Opcode::ISETP)
-            max_reg = unsigned(inst.dst);
-        for (const auto& src : inst.src)
+    // Dense register numbering: the file gets one row per register the
+    // program names, not one per index up to the highest (codegen's
+    // scratch R249 would otherwise give every instrumented kernel 250
+    // rows). Registers are independent and start at zero, so the
+    // renaming cannot change results. Decode and issue read the private
+    // copy; program_ (disassembly, the mechanism's view) stays as
+    // compiled. ISETP's dst names a predicate, not a register.
+    program_.validate();
+    code_ = program_.code;
+    std::array<bool, kNumRegs> named{};
+    for (const Instruction& inst : code_) {
+        if (inst.dst >= 0 && inst.op != Opcode::ISETP)
+            named[unsigned(inst.dst)] = true;
+        for (const Operand& src : inst.src)
             if (src.isReg())
-                max_reg = std::max(max_reg, unsigned(src.value));
+                named[src.value] = true;
     }
-    nregs_ = max_reg + 1;
+    std::array<unsigned, kNumRegs> dense{};
+    for (unsigned r = 0; r < kNumRegs; ++r)
+        if (named[r])
+            dense[r] = nregs_++;
+    for (Instruction& inst : code_) {
+        if (inst.dst >= 0 && inst.op != Opcode::ISETP)
+            inst.dst = int(dense[unsigned(inst.dst)]);
+        for (Operand& src : inst.src)
+            if (src.isReg())
+                src.value = dense[src.value];
+    }
+    warps_per_block_ =
+        (launch_.block_threads + config_.warp_size - 1) / config_.warp_size;
 
     // Constant bank: stack pointer (Fig. 7), dynamic-shared base, and
     // kernel parameters.
@@ -715,9 +745,9 @@ GpuSim::~GpuSim() = default;
 void
 GpuSim::buildDecodeTable()
 {
-    idesc_.resize(program_.code.size());
-    for (size_t i = 0; i < program_.code.size(); ++i) {
-        const Instruction& inst = program_.code[i];
+    idesc_.resize(code_.size());
+    for (size_t i = 0; i < code_.size(); ++i) {
+        const Instruction& inst = code_[i];
         InstDesc& d = idesc_[i];
         for (unsigned s = 0; s < kMaxSrcs; ++s) {
             const Operand& op = inst.src[s];
@@ -753,6 +783,7 @@ GpuSim::buildDecodeTable()
         if (d.is_mem) {
             d.is_store = isStore(inst.op);
             d.space = memSpaceOf(inst.op);
+            uses_local_ = uses_local_ || d.space == MemSpace::Local;
         }
         switch (inst.op) {
           case Opcode::BRA:
@@ -1230,8 +1261,9 @@ GpuSim::warpReadyAt(const Warp& warp) const
 {
     // Earliest cycle this warp could issue its next instruction: the
     // max over its stall window and every scoreboard dependency. A
-    // warp is ready on cycle c iff warpReadyAt(w) <= c, so one scan
-    // serves both the GTO pick and the stall fast-forward target.
+    // warp is ready on cycle c iff warpReadyAt(w) <= c, so one value
+    // (cached in Warp::ready_at) serves both the GTO pick and the stall
+    // fast-forward target.
     if (warp.done || warp.at_barrier || warp.heap_pending)
         return ~uint64_t(0);
     uint64_t t = warp.stall_until;
@@ -1303,7 +1335,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         break;
     }
 
-    const Instruction& inst = program_.code[warp.pc];
+    const Instruction& inst = code_[warp.pc];
     const InstDesc& d = idesc_[warp.pc];
     ++sm.cnt.instructions;
     sm.cnt.thread_instructions += std::popcount(warp.active);
@@ -1703,6 +1735,7 @@ GpuSim::releaseBarriers(SmCtx& sm)
                 if (w.at_barrier) {
                     w.at_barrier = false;
                     w.stall_until = sm.cycle + config_.barrier_latency;
+                    w.ready_at = warpReadyAt(w);
                     --sm.at_barrier_warps;
                 }
             }
@@ -1719,18 +1752,15 @@ GpuSim::releaseBarriers(SmCtx& sm)
 void
 GpuSim::admitBlocks(SmCtx& sm)
 {
-    const unsigned warps_per_block =
-        (launch_.block_threads + config_.warp_size - 1) / config_.warp_size;
-
     while (sm.next_block < sm.pending_blocks.size()) {
         if (sm.blocks.size() >= config_.max_blocks_per_sm ||
-            sm.live_warps + warps_per_block > config_.max_warps_per_sm)
+            sm.live_warps + warps_per_block_ > config_.max_warps_per_sm)
             return;
 
         const uint32_t bid = sm.pending_blocks[sm.next_block++];
         BlockCtx bc;
         bc.block_id = bid;
-        bc.num_warps = warps_per_block;
+        bc.num_warps = warps_per_block_;
         bc.first_warp = uint32_t(sm.warps.size());
         bc.shared_slot = sm.shared_free.back();
         sm.shared_free.pop_back();
@@ -1738,7 +1768,7 @@ GpuSim::admitBlocks(SmCtx& sm)
         sm.blocks.push_back(bc);
         SparseMemory* const shared = &sm.shared_arena[bc.shared_slot];
 
-        for (unsigned wi = 0; wi < warps_per_block; ++wi) {
+        for (unsigned wi = 0; wi < warps_per_block_; ++wi) {
             Warp w;
             w.block = bid;
             w.warp_in_block = wi;
@@ -1762,6 +1792,7 @@ GpuSim::admitBlocks(SmCtx& sm)
             w.reg_ready.assign(nregs_, 0);
             w.regs.assign(size_t(config_.warp_size) * nregs_, 0);
             w.stall_until = sm.cycle;
+            w.ready_at = warpReadyAt(w);
             const uint32_t idx = uint32_t(sm.warps.size());
             sm.warps.push_back(std::move(w));
             const unsigned s = idx % config_.schedulers_per_sm;
@@ -1800,6 +1831,14 @@ GpuSim::retireBlocks(SmCtx& sm)
 void
 GpuSim::stepSmSlice(SmCtx& sm, uint64_t slice_no)
 {
+    if (!sm.started) {
+        // Every SM runs slice 1 at cycle 0, so sizing its arenas and
+        // admitting its first wave here is the same as doing it before
+        // the loop, but it runs on the worker that steps the SM.
+        sm.started = true;
+        sm.initArenas(config_, warps_per_block_, uses_local_);
+        admitBlocks(sm);
+    }
     if (launch_.tier == ExecutionTier::Functional)
         stepSmSliceFunctional(sm, slice_no);
     else
@@ -1930,14 +1969,14 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
             // (picks come from sched_live[s]), so no ownership re-check.
             const int last = sm.last_issued[s];
             if (last >= 0 && size_t(last) < sm.warps.size() &&
-                warpReadyAt(sm.warps[size_t(last)]) <= sm.cycle) {
+                sm.warps[size_t(last)].ready_at <= sm.cycle) {
                 pick = last;
             } else {
+                // Done warps cache ~0, so they never pick and never
+                // lower min_t.
                 uint64_t min_t = ~uint64_t(0);
                 for (const uint32_t wi : sm.sched_live[s]) {
-                    if (sm.warps[wi].done)
-                        continue;
-                    const uint64_t t = warpReadyAt(sm.warps[wi]);
+                    const uint64_t t = sm.warps[wi].ready_at;
                     if (t <= sm.cycle) {
                         pick = int(wi);
                         break;
@@ -1948,18 +1987,18 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
                     sm.sched_sleep[s] = min_t;
             }
             if (pick >= 0) {
-                if (issueWarpT<false>(sm, sm.warps[size_t(pick)])) {
+                Warp& w = sm.warps[size_t(pick)];
+                const bool ok = issueWarpT<false>(sm, w);
+                w.ready_at = warpReadyAt(w);
+                if (ok) {
                     issued = true;
                 } else {
                     // The pick evaporated (reconvergence exit) without
                     // issuing. Recompute this scheduler's wake-up so the
                     // fast-forward target below stays exact.
                     uint64_t min_t = ~uint64_t(0);
-                    for (const uint32_t wi : sm.sched_live[s]) {
-                        if (!sm.warps[wi].done)
-                            min_t = std::min(min_t,
-                                             warpReadyAt(sm.warps[wi]));
-                    }
+                    for (const uint32_t wi : sm.sched_live[s])
+                        min_t = std::min(min_t, sm.warps[wi].ready_at);
                     sm.sched_sleep[s] = min_t;
                 }
                 sm.last_issued[s] = pick;
@@ -2126,6 +2165,7 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                 w.stall_until = op.cycle + config_.malloc_latency / 2;
             }
             w.heap_pending = false;
+            w.ready_at = warpReadyAt(w);
             --sm.heap_pending_warps;
             // The unparked warp may be issuable before any sleeping
             // scheduler planned for.
@@ -2190,6 +2230,7 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
             else
                 w.stall_until = done_at;
             w.heap_pending = false;
+            w.ready_at = warpReadyAt(w);
             --sm.heap_pending_warps;
             std::fill(sm.sched_sleep.begin(), sm.sched_sleep.end(),
                       uint64_t(0));
@@ -2264,7 +2305,6 @@ GpuSim::resolveThreads(unsigned used_sms) const
 RunResult
 GpuSim::run()
 {
-    program_.validate();
     mech_.onKernelLaunch(program_);
 
     // Round-robin block placement over SMs.
@@ -2284,17 +2324,6 @@ GpuSim::run()
     }
     for (unsigned b = 0; b < launch_.grid_blocks; ++b)
         sms[b % used_sms].pending_blocks.push_back(b);
-    bool uses_local = false;
-    for (const InstDesc& d : idesc_)
-        uses_local = uses_local ||
-                     (d.is_mem && d.space == MemSpace::Local);
-    const unsigned warps_per_block =
-        (launch_.block_threads + config_.warp_size - 1) /
-        config_.warp_size;
-    for (SmCtx& sm : sms) {
-        sm.initArenas(config_, warps_per_block, uses_local);
-        admitBlocks(sm);
-    }
 
     // Slice-synchronous execution: private SM slices, then a canonical
     // commit — identical for every worker count (see file header).

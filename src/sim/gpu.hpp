@@ -42,7 +42,15 @@
  *    scoreboard register lists, and constant-bank reads once per launch
  *    instead of once per lane per dynamic instruction;
  *  - the per-lane register file is laid out register-major (SoA), so the
- *    lane loop of one instruction walks contiguous memory;
+ *    lane loop of one instruction walks contiguous memory, and holds
+ *    only the registers the program names (renumbered densely into a
+ *    private copy of the code);
+ *  - each SM's arenas and first wave of blocks are set up by its first
+ *    slice, on whichever worker steps it, not serially before the pool
+ *    starts;
+ *  - each warp caches its issue-readiness cycle (Warp::ready_at),
+ *    refreshed only where its inputs change, so the GTO pick and the
+ *    stall fast-forward read one field per warp;
  *  - per-thread local and per-block shared memories live in dense,
  *    residency-bounded per-SM arenas reused across waves (slots are
  *    zero-reset on reuse), replacing per-access hash-map lookups;
@@ -237,6 +245,7 @@ class GpuSim
     void retireBlocks(SmCtx& sm);
     void markWarpDone(SmCtx& sm, Warp& warp);
     void releaseBarriers(SmCtx& sm);
+    /** Earliest cycle @p warp can issue; cached in Warp::ready_at. */
     uint64_t warpReadyAt(const Warp& warp) const;
     /** Queue @p fault as this SM's pending fault and stop its slice. */
     void pendFault(SmCtx& sm, Fault fault);
@@ -248,7 +257,13 @@ class GpuSim
     const Program& program_;
     Launch launch_;
 
+    /** program_.code with registers renumbered densely (0..nregs_-1);
+     *  decode and issue read this copy. */
+    std::vector<Instruction> code_;
+    /** Distinct registers the program names: rows per register file. */
     unsigned nregs_ = 0;
+    unsigned warps_per_block_ = 0;
+    bool uses_local_ = false; ///< any local-memory instruction
     uint64_t dyn_shared_base_ = 0;
     std::vector<uint8_t> cbank_;
     CacheModel l2_;

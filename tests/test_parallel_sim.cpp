@@ -12,6 +12,7 @@
  * order-independent digest of global memory.
  */
 
+#include <array>
 #include <cstdlib>
 #include <gtest/gtest.h>
 
@@ -34,11 +35,14 @@ struct RunSnapshot
 
 RunSnapshot
 runAt(MechanismKind kind, const WorkloadProfile& profile, double scale,
-      unsigned sim_threads)
+      unsigned sim_threads, ExecutionTier tier = ExecutionTier::Detailed)
 {
     Device dev(makeMechanism(kind));
     dev.setSimThreads(sim_threads);
-    const WorkloadRun run = runWorkload(dev, profile, scale);
+    LaunchOptions options;
+    options.tier = tier;
+    const WorkloadRun run =
+        runWorkload(dev, profile, scale, RaceSeed::None, options);
     RunSnapshot snap;
     snap.result = run.result;
     snap.counters = dev.stats().counters();
@@ -113,6 +117,110 @@ TEST(ParallelSim, DeviceHeapOpsByteIdenticalAcrossThreadCounts)
             SCOPED_TRACE("sim_threads=" + std::to_string(threads));
             expectIdentical(serial, runAt(kind, p, 0.1, threads));
         }
+    }
+}
+
+TEST(ParallelSim, MultiWaveLaunchByteIdenticalAcrossThreadCounts)
+{
+    // Every Table V launch fits in one wave, so all of its blocks are
+    // admitted by each SM's first slice. One-warp blocks on a grid wider
+    // than num_sms x max_blocks_per_sm make every SM retire blocks and
+    // admit later waves mid-run, reusing shared and local arena slots.
+    // baggy-sw adds codegen's sparse scratch register R249.
+    const GpuConfig config;
+    WorkloadProfile p = findWorkload("hotspot");
+    p.block_threads = 32;
+    p.grid_blocks =
+        config.num_sms * (config.max_blocks_per_sm + 3) + 37;
+    p.elems_per_thread = 1;
+    p.compute_iters = 4;
+    p.local_accesses = 2;
+    p.local_buf_bytes = 256;
+    ASSERT_GT(p.grid_blocks, config.num_sms * config.max_blocks_per_sm);
+    for (MechanismKind kind :
+         {MechanismKind::Baseline, MechanismKind::BaggySw}) {
+        for (ExecutionTier tier :
+             {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+            SCOPED_TRACE(std::string(mechanismKindName(kind)) + "/" +
+                         executionTierName(tier));
+            const RunSnapshot serial = runAt(kind, p, 1.0, 1, tier);
+            EXPECT_FALSE(serial.result.faulted());
+            for (unsigned threads : {2u, 8u}) {
+                SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+                expectIdentical(serial, runAt(kind, p, 1.0, threads, tier));
+            }
+        }
+    }
+}
+
+/**
+ * out[gtid] = in[gtid] * 3 + gtid, naming the four registers @p r. The
+ * engine renumbers registers densely, so any injective choice of
+ * numbers must run identically.
+ */
+CompiledKernel
+renumberKernel(const std::array<unsigned, 4>& r)
+{
+    CompiledKernel k;
+    k.program.name = "renumber";
+    k.program.num_params = 2;
+    auto emit = [&](Opcode op, int dst, Operand a, Operand b = {},
+                    Operand c = {}) {
+        Instruction inst;
+        inst.op = op;
+        inst.dst = dst;
+        inst.src[0] = a;
+        inst.src[1] = b;
+        inst.src[2] = c;
+        k.program.code.push_back(inst);
+    };
+    const auto R = [&](unsigned i) { return Operand::reg(r[i]); };
+    const auto dst = [&](unsigned i) { return int(r[i]); };
+    emit(Opcode::S2R, dst(0), Operand::special(SpecialReg::GlobalTid));
+    emit(Opcode::SHL, dst(1), R(0), Operand::imm(2));
+    emit(Opcode::IADD, dst(2), R(1), Operand::cbank(Program::kParamBase));
+    emit(Opcode::LDG, dst(3), R(2));
+    emit(Opcode::IMAD, dst(3), R(3), Operand::imm(3), R(0));
+    emit(Opcode::IADD, dst(2), R(1),
+         Operand::cbank(Program::kParamBase + 8));
+    emit(Opcode::STG, -1, R(2), R(3));
+    emit(Opcode::EXIT, -1, {});
+    return k;
+}
+
+RunSnapshot
+runRenumberAt(const std::array<unsigned, 4>& regs, ExecutionTier tier)
+{
+    const unsigned n = 200 * 64;
+    Device dev(makeMechanism(MechanismKind::Baseline));
+    const uint64_t in = dev.cudaMalloc(n * 4);
+    const uint64_t out = dev.cudaMalloc(n * 4);
+    for (unsigned i = 0; i < n; ++i)
+        dev.globalMemory().write(in + 4 * i, 7 * i + 1, 4);
+    LaunchOptions options;
+    options.tier = tier;
+    RunSnapshot snap;
+    snap.result =
+        dev.launch(renumberKernel(regs), 200, 64, {in, out}, options);
+    EXPECT_EQ(dev.globalMemory().read(out + 4 * 123, 4),
+              (7 * 123 + 1) * 3 + 123);
+    snap.counters = dev.stats().counters();
+    snap.gauges = dev.stats().gauges();
+    snap.mem_digest = dev.globalMemory().digest();
+    return snap;
+}
+
+TEST(ParallelSim, SparseHighRegistersRunLikeTheirDenseTwin)
+{
+    // Sparse, out-of-order and top-of-file register numbers (R255 is
+    // the last one the ISA has) against R0-R3.
+    for (ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+        SCOPED_TRACE(executionTierName(tier));
+        const RunSnapshot dense = runRenumberAt({0, 1, 2, 3}, tier);
+        const RunSnapshot sparse = runRenumberAt({255, 7, 200, 131}, tier);
+        EXPECT_GT(dense.result.cycles, 0u);
+        expectIdentical(dense, sparse);
     }
 }
 
