@@ -27,6 +27,7 @@
 #include "analysis/analysis.hpp"
 #include "common/table.hpp"
 #include "sim/device.hpp"
+#include "sim/race_sanitizer.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace lmi;
@@ -70,7 +71,7 @@ runCell(const std::string& name, const WorkloadProfile& profile,
     Device dev;
     RaceSanitizer sanitizer;
     LaunchOptions opts;
-    opts.sanitizer = &sanitizer;
+    opts.observer = &sanitizer;
     const WorkloadRun run = runWorkload(dev, profile, 0.25, seed, opts);
     cell.dynamic_conflicts = sanitizer.conflictCount();
     for (const Fault& f : run.result.faults)

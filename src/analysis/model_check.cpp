@@ -501,6 +501,9 @@ Checker::execEvent(State& st, size_t e)
           }
           break;
       }
+      case Kind::BarrierRelease:
+      case Kind::BlockRetire:
+          break; // MemEventLog never records them
     }
 }
 

@@ -79,9 +79,8 @@ class Device
     /**
      * Execute @p kernel on the GpuSim engine with the mechanism
      * attached. The single launch entry point: @p options selects the
-     * execution tier (detailed / functional), and carries
-     * the trace sink, race sanitizer, dynamic shared memory and
-     * per-launch thread budget that used to be separate overloads.
+     * execution tier (detailed / functional) and carries the observer,
+     * dynamic shared memory and per-launch thread budget.
      * The default options run the detailed tier, byte-identical to
      * the historical plain launch.
      */

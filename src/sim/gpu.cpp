@@ -14,6 +14,7 @@
 #include "common/cli.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
+#include "sim/trace.hpp"
 
 namespace lmi {
 
@@ -676,6 +677,7 @@ GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
       heap_(heap),
       program_(program),
       launch_(std::move(launch)),
+      obs_(launch_.options.observer),
       l2_(config.l2_size, config.l2_assoc, config.line_bytes)
 {
     // Dense register numbering: the file gets one row per register the
@@ -720,14 +722,14 @@ GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
         // out a coarse extent over it (paper §IX-A).
         uint64_t dyn_base = program_.static_shared_bytes;
         uint64_t dyn_ptr = dyn_base;
-        if (launch_.dynamic_shared_bytes > 0) {
+        if (launch_.options.dynamic_shared_bytes > 0) {
             const PointerCodec codec;
             if (mech_.encodePointers()) {
                 const uint64_t aligned =
-                    codec.alignedSize(launch_.dynamic_shared_bytes);
+                    codec.alignedSize(launch_.options.dynamic_shared_bytes);
                 dyn_base = alignUp(dyn_base, aligned);
                 dyn_ptr = codec.encode(dyn_base,
-                                       launch_.dynamic_shared_bytes);
+                                       launch_.options.dynamic_shared_bytes);
             }
         }
         dyn_shared_base_ = dyn_base;
@@ -911,7 +913,8 @@ GpuSim::lsuAccess(const SmCtx& sm, const Instruction& inst, MemSpace space,
     access.sm = sm.sm_id;
     access.frame_base = config_.stack_top - program_.frame_bytes;
     access.stack_top = config_.stack_top;
-    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
+    access.shared_limit =
+        dyn_shared_base_ + launch_.options.dynamic_shared_bytes;
     return access;
 }
 
@@ -922,60 +925,32 @@ GpuSim::observeAccess(SmCtx& sm, const Warp& warp, const Instruction& inst,
                       uint64_t value2)
 {
     const bool atomic = isAtomic(inst.op);
-    if (launch_.sanitizer)
-        launch_.sanitizer->onAccess(space, warp.block, warp.warp_in_block,
-                                    gtid, warp.pc, addr, width, writes,
-                                    atomic,
-                                    atomic ? inst.scope : MemScope::Cta);
-    if (!launch_.memlog || space != MemSpace::Global)
-        return;
-    MemEvent e;
+    // Plain or atomic load/store, unless an RMW or CAS.
+    MemEvent::Kind kind =
+        writes ? MemEvent::Kind::Store : MemEvent::Kind::Load;
+    if (inst.op == Opcode::CASG || inst.op == Opcode::CASS)
+        kind = MemEvent::Kind::Cas;
+    else if (atomic && inst.aop != AtomicOp::Ld && inst.aop != AtomicOp::St)
+        kind = MemEvent::Kind::Rmw;
+    MemEvent e{.kind = kind, .width = uint8_t(width), .space = space,
+               .block = warp.block, .warp = warp.warp_in_block,
+               .gtid = gtid, .pc = warp.pc, .seq = sm.event_seq++,
+               .cycle = sm.cycle, .addr = addr, .value = value,
+               .value2 = value2};
     if (atomic) {
         e.is_atomic = true;
         e.aop = inst.aop;
         e.scope = inst.scope;
         e.order = inst.order;
     }
-    if (inst.op == Opcode::CASG || inst.op == Opcode::CASS)
-        e.kind = MemEvent::Kind::Cas;
-    else if (atomic && inst.aop != AtomicOp::Ld && inst.aop != AtomicOp::St)
-        e.kind = MemEvent::Kind::Rmw;
-    else // plain or atomic load/store
-        e.kind = writes ? MemEvent::Kind::Store : MemEvent::Kind::Load;
-    e.width = uint8_t(width);
-    e.sm = sm.sm_id;
-    e.block = warp.block;
-    e.warp = warp.warp_in_block;
-    e.gtid = gtid;
-    e.pc = warp.pc;
-    e.seq = sm.event_seq++;
-    e.cycle = sm.cycle;
-    e.addr = addr;
-    e.value = value;
-    e.value2 = value2;
-    launch_.memlog->record(e);
+    logEvent(sm, e);
 }
 
 void
-GpuSim::logEvent(MemEvent::Kind kind, const SmCtx& sm, const Warp& warp,
-                 uint32_t gtid, uint64_t pc, uint64_t seq, uint64_t cycle,
-                 uint64_t addr, uint64_t value, MemScope scope,
-                 MemOrder order)
+GpuSim::logEvent(const SmCtx& sm, MemEvent e)
 {
-    MemEvent e;
-    e.kind = kind;
-    e.scope = scope;
-    e.order = order;
     e.sm = sm.sm_id;
-    e.block = warp.block;
-    e.warp = warp.warp_in_block;
-    e.gtid = gtid;
-    e.pc = pc;
-    e.seq = seq;
-    e.cycle = cycle;
-    e.addr = addr;
-    e.value = value;
-    launch_.memlog->record(e);
+    obs_->onEvent(e);
 }
 
 template <bool kFunctional>
@@ -1006,7 +981,6 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             ? nullptr // kernel has no local-memory instructions
             : sm.local_arena.data() +
                   size_t(warp.local_slot) * config_.warp_size;
-    const bool observed = launch_.sanitizer || launch_.memlog;
 
     MemAccess access = lsuAccess(sm, inst, space, is_store, inst.width);
 
@@ -1055,7 +1029,7 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             dst_row[lane] = mem->read(addr, inst.width);
         }
 
-        if (observed)
+        if (obs_)
             observeAccess(sm, warp, inst, space, gtid, addr, inst.width,
                           is_store, is_store ? store_val.get(lane) : 0,
                           is_store ? 0 : dst_row[lane]);
@@ -1231,8 +1205,9 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst)
             op.cmps[lane] = is_cas ? v1.get(lane) : 0;
         }
 
-        observeAccess(sm, warp, inst, space, gtid, addr, width, writes,
-                      op.vals[lane], op.cmps[lane]);
+        if (obs_)
+            observeAccess(sm, warp, inst, space, gtid, addr, width, writes,
+                          op.vals[lane], op.cmps[lane]);
     }
 
     if (space == MemSpace::Shared) {
@@ -1304,16 +1279,17 @@ GpuSim::markWarpDone(SmCtx& sm, Warp& warp)
 }
 
 template <bool kFunctional>
-bool
+void
 GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
 {
-    // Reconvergence bookkeeping: merge or switch paths as needed.
+    // Reconvergence bookkeeping: merge or switch paths as needed. A
+    // warp always has a path here: BRA pushes only nonzero masks, and
+    // EXIT retires the warp once its stack is empty.
     for (;;) {
         if (warp.active == 0) {
-            if (warp.stack.empty()) {
-                markWarpDone(sm, warp);
-                return false;
-            }
+            if (warp.stack.empty())
+                lmi_panic("warp %u of block %u issued with no live path",
+                          warp.warp_in_block, warp.block);
             warp.pc = warp.stack.back().first;
             warp.active = warp.stack.back().second;
             warp.stack.pop_back();
@@ -1341,18 +1317,12 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
     sm.cnt.thread_instructions += std::popcount(warp.active);
 
     const uint64_t cycle = sm.cycle;
-    if (launch_.trace) {
-        TraceEvent event;
-        event.sm = sm.sm_id;
-        event.block = warp.block;
-        event.warp = warp.warp_in_block;
-        event.cycle = cycle;
-        event.pc = warp.pc;
-        event.op = inst.op;
-        event.active_mask = warp.active;
-        event.hinted = inst.hints.active;
-        launch_.trace->record(event);
-    }
+    if (obs_)
+        obs_->onIssue({.sm = sm.sm_id, .block = warp.block,
+                       .warp = warp.warp_in_block, .cycle = cycle,
+                       .pc = warp.pc, .op = inst.op,
+                       .active_mask = warp.active,
+                       .hinted = inst.hints.active});
 
     if (d.kind == InstDesc::Kind::Ctrl)
     switch (inst.op) {
@@ -1383,7 +1353,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
             }
         }
         warp.stall_until = cycle + 1;
-        return true;
+        return;
       }
 
       case Opcode::EXIT: {
@@ -1392,7 +1362,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         if (warp.stack.empty())
             markWarpDone(sm, warp);
         // Remaining paths resume on the next issue via reconvergence.
-        return true;
+        return;
       }
 
       case Opcode::TRAP: {
@@ -1400,7 +1370,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         fault.kind = FaultKind(inst.src[0].value);
         fault.detail = "software check trap in " + program_.name;
         pendFault(sm, std::move(fault));
-        return true;
+        return;
       }
 
       case Opcode::BAR: {
@@ -1421,17 +1391,19 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
                        std::to_string(warp.warp_in_block) +
                        " arrived with partial active mask";
             pendFault(sm, std::move(f));
-            return true;
+            return;
         }
-        if (launch_.memlog)
-            logEvent(MemEvent::Kind::Barrier, sm, warp, warp.first_gtid,
-                     warp.pc, sm.event_seq++, cycle, 0, 0, MemScope::Cta,
-                     MemOrder::AcqRel);
+        if (obs_)
+            logEvent(sm, {.kind = MemEvent::Kind::Barrier,
+                          .order = MemOrder::AcqRel, .block = warp.block,
+                          .warp = warp.warp_in_block,
+                          .gtid = warp.first_gtid, .pc = warp.pc,
+                          .seq = sm.event_seq++, .cycle = cycle});
         warp.at_barrier = true;
         warp.barrier_pc = warp.pc;
         ++sm.at_barrier_warps;
         ++warp.pc;
-        return true;
+        return;
       }
 
       case Opcode::MEMBAR: {
@@ -1441,18 +1413,21 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         // strong as the fence requests at any scope. The event is still
         // logged — the model checker replays it as an ordering edge
         // when it explores interleavings weaker than the engine's.
-        if (launch_.memlog)
-            logEvent(MemEvent::Kind::Fence, sm, warp, warp.first_gtid,
-                     warp.pc, sm.event_seq++, cycle, 0, 0, inst.scope,
-                     inst.order);
+        if (obs_)
+            logEvent(sm, {.kind = MemEvent::Kind::Fence,
+                          .scope = inst.scope, .order = inst.order,
+                          .block = warp.block,
+                          .warp = warp.warp_in_block,
+                          .gtid = warp.first_gtid, .pc = warp.pc,
+                          .seq = sm.event_seq++, .cycle = cycle});
         ++warp.pc;
-        return true;
+        return;
       }
 
       case Opcode::NOP:
       case Opcode::RET:
         ++warp.pc;
-        return true;
+        return;
 
       case Opcode::MALLOC:
       case Opcode::FREE: {
@@ -1474,7 +1449,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         warp.heap_pending = true;
         ++sm.heap_pending_warps;
         ++warp.pc;
-        return true;
+        return;
       }
 
       default:
@@ -1487,7 +1462,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         else
             executeMemory<kFunctional>(sm, warp, inst);
         ++warp.pc;
-        return true;
+        return;
     }
 
     // Integer / FP / MOV / S2R / ISETP / LDC path. The functional tier
@@ -1515,7 +1490,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         }
         warp.pred_ready[unsigned(inst.dst)] = cycle + latency;
         ++warp.pc;
-        return true;
+        return;
     }
 
     uint64_t* const dst_row =
@@ -1613,7 +1588,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         if (inst.dst >= 0)
             warp.reg_ready[unsigned(inst.dst)] = cycle + latency;
         ++warp.pc;
-        return true;
+        return;
     }
 
     // Hinted (pointer-producing) ops go through the generic lane loop:
@@ -1670,7 +1645,6 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         warp.reg_ready[unsigned(inst.dst)] = cycle + latency;
 
     ++warp.pc;
-    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -1743,8 +1717,9 @@ GpuSim::releaseBarriers(SmCtx& sm)
             // scheduler planned for.
             std::fill(sm.sched_sleep.begin(), sm.sched_sleep.end(),
                       uint64_t(0));
-            if (launch_.sanitizer)
-                launch_.sanitizer->onBarrierRelease(block.block_id);
+            if (obs_)
+                logEvent(sm, {.kind = MemEvent::Kind::BarrierRelease,
+                              .block = block.block_id, .cycle = sm.cycle});
         }
     }
 }
@@ -1810,8 +1785,9 @@ GpuSim::retireBlocks(SmCtx& sm)
         BlockCtx& blk = sm.blocks[i];
         if (blk.done_warps >= blk.num_warps) {
             sm.shared_free.push_back(blk.shared_slot);
-            if (launch_.sanitizer)
-                launch_.sanitizer->onBlockRetire(blk.block_id);
+            if (obs_)
+                logEvent(sm, {.kind = MemEvent::Kind::BlockRetire,
+                              .block = blk.block_id, .cycle = sm.cycle});
             sm.blocks.erase(sm.blocks.begin() + long(i));
         } else {
             ++i;
@@ -1839,7 +1815,7 @@ GpuSim::stepSmSlice(SmCtx& sm, uint64_t slice_no)
         sm.initArenas(config_, warps_per_block_, uses_local_);
         admitBlocks(sm);
     }
-    if (launch_.tier == ExecutionTier::Functional)
+    if (launch_.options.tier == ExecutionTier::Functional)
         stepSmSliceFunctional(sm, slice_no);
     else
         stepSmSliceDetailed(sm, slice_no);
@@ -1920,8 +1896,7 @@ GpuSim::runWarpFunctional(SmCtx& sm, Warp& warp, uint64_t& budget)
             sm.stopped)
             return;
         --budget;
-        if (!issueWarpT<true>(sm, warp))
-            return; // warp evaporated through reconvergence exit
+        issueWarpT<true>(sm, warp);
     }
 }
 
@@ -1988,19 +1963,9 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
             }
             if (pick >= 0) {
                 Warp& w = sm.warps[size_t(pick)];
-                const bool ok = issueWarpT<false>(sm, w);
+                issueWarpT<false>(sm, w);
                 w.ready_at = warpReadyAt(w);
-                if (ok) {
-                    issued = true;
-                } else {
-                    // The pick evaporated (reconvergence exit) without
-                    // issuing. Recompute this scheduler's wake-up so the
-                    // fast-forward target below stays exact.
-                    uint64_t min_t = ~uint64_t(0);
-                    for (const uint32_t wi : sm.sched_live[s])
-                        min_t = std::min(min_t, sm.warps[wi].ready_at);
-                    sm.sched_sleep[s] = min_t;
-                }
+                issued = true;
                 sm.last_issued[s] = pick;
                 if (sm.stopped)
                     return;
@@ -2133,12 +2098,13 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         break;
                     }
                     mech_.onDeviceAlloc(ptr, size);
-                    if (launch_.sanitizer)
-                        launch_.sanitizer->onDeviceAlloc(ptr, size);
-                    if (launch_.memlog)
-                        logEvent(MemEvent::Kind::Malloc, sm, w,
-                                 w.first_gtid + lane, 0, op.seq, op.cycle,
-                                 ptr, size);
+                    if (obs_)
+                        logEvent(sm, {.kind = MemEvent::Kind::Malloc,
+                                      .block = w.block,
+                                      .warp = w.warp_in_block,
+                                      .gtid = w.first_gtid + lane,
+                                      .seq = op.seq, .cycle = op.cycle,
+                                      .addr = ptr, .value = size});
                     w.reg(lane, unsigned(op.dst)) = ptr;
                 } else {
                     const uint64_t ptr = op.vals[lane];
@@ -2151,10 +2117,13 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         faulted = true;
                         break;
                     }
-                    if (launch_.memlog)
-                        logEvent(MemEvent::Kind::Free, sm, w,
-                                 w.first_gtid + lane, 0, op.seq, op.cycle,
-                                 ptr, 0);
+                    if (obs_)
+                        logEvent(sm, {.kind = MemEvent::Kind::Free,
+                                      .block = w.block,
+                                      .warp = w.warp_in_block,
+                                      .gtid = w.first_gtid + lane,
+                                      .seq = op.seq, .cycle = op.cycle,
+                                      .addr = ptr});
                 }
             }
             if (op.is_malloc) {
@@ -2288,15 +2257,12 @@ GpuSim::estimateCycles(const std::vector<SmCtx>& sms) const
 unsigned
 GpuSim::resolveThreads(unsigned used_sms) const
 {
-    unsigned threads = launch_.sim_threads ? launch_.sim_threads
-                                           : resolveSimThreads(config_);
-    if (threads > 1 &&
-        (launch_.trace || launch_.sanitizer || launch_.memlog)) {
-        lmi_inform("sim: %s launch pinned to sim_threads=1 "
-                   "(order-sensitive sink attached)",
-                   launch_.trace       ? "traced"
-                   : launch_.sanitizer ? "sanitized"
-                                       : "event-logged");
+    unsigned threads = launch_.options.sim_threads
+                           ? launch_.options.sim_threads
+                           : resolveSimThreads(config_);
+    if (threads > 1 && obs_) {
+        lmi_inform("sim: observed launch pinned to sim_threads=1 "
+                   "(the event stream is order-sensitive)");
         threads = 1;
     }
     return std::min(std::max(threads, 1u), used_sms);
@@ -2374,20 +2340,13 @@ GpuSim::run()
         result_.dram_accesses += sm.cnt.dram_accesses;
     }
 
-    if (launch_.tier == ExecutionTier::Functional)
+    if (launch_.options.tier == ExecutionTier::Functional)
         max_cycle = estimateCycles(sms);
     result_.cycles =
         uint64_t(double(max_cycle) * (1.0 + mech_.launchOverheadFraction()));
 
     for (Fault& f : mech_.onKernelEnd())
         result_.faults.push_back(std::move(f));
-
-    if (launch_.sanitizer) {
-        result_.stats.inc("race.sanitizer_conflicts",
-                          launch_.sanitizer->conflictCount());
-        result_.stats.inc("race.sanitizer_words",
-                          launch_.sanitizer->wordsTracked());
-    }
 
     result_.stats.set("sim.l1_hit_rate",
                       result_.l1_hits + result_.l1_misses == 0

@@ -74,36 +74,19 @@
 #include "sim/mechanism.hpp"
 #include "sim/mem_event.hpp"
 #include "sim/memory.hpp"
-#include "sim/race_sanitizer.hpp"
 #include "sim/result.hpp"
-#include "sim/trace.hpp"
 
 namespace lmi {
 
-/** One kernel launch request. */
+/** One kernel launch request: the grid, the kernel parameters and the
+ *  caller's options (tier, thread budget, dynamic shared memory,
+ *  observer). */
 struct Launch
 {
     unsigned grid_blocks = 1;
     unsigned block_threads = 32;
     std::vector<uint64_t> params;
-    uint64_t dynamic_shared_bytes = 0;
-    /**
-     * Worker threads stepping SMs for this launch. 0 = inherit
-     * GpuConfig::sim_threads (which itself falls back to the
-     * LMI_SIM_THREADS environment variable, then 1). Results are
-     * byte-identical for every value. Traced or sanitized launches are
-     * pinned to 1 (their sinks are inherently order-sensitive).
-     */
-    unsigned sim_threads = 0;
-    /** Engine tier: detailed timing or functional-only. */
-    ExecutionTier tier = ExecutionTier::Detailed;
-    /** Optional instruction-trace sink (NVBit-style capture). */
-    TraceSink* trace = nullptr;
-    /** Optional dynamic race sanitizer (purely observational). */
-    RaceSanitizer* sanitizer = nullptr;
-    /** Optional memory-transaction log for the model checker (also
-     *  order-sensitive, so it pins the launch to one thread). */
-    MemEventSink* memlog = nullptr;
+    LaunchOptions options;
 };
 
 /**
@@ -192,7 +175,7 @@ class GpuSim
     unsigned resolveThreads(unsigned used_sms) const;
     /** One issue step; @p kFunctional skips the timing model. The
      *  false instantiation is the historical detailed issue path. */
-    template <bool kFunctional> bool issueWarpT(SmCtx& sm, Warp& warp);
+    template <bool kFunctional> void issueWarpT(SmCtx& sm, Warp& warp);
     /**
      * The LSU, one routine for both tiers: per lane, the mechanism
      * check (faults pend here), the architectural load/store, the
@@ -222,23 +205,19 @@ class GpuSim
                         MemSpace space, bool writes, unsigned width) const;
     /**
      * The one emission point for executed accesses (loads, stores and
-     * atomics, both tiers): feeds the race sanitizer and, for global
-     * space, records the MemEvent. @p value / @p value2 are the store
-     * value / RMW operand / CAS desired and the loaded value / CAS
-     * expected.
+     * atomics in every space, both tiers; callers check obs_).
+     * @p value / @p value2 are the store value / RMW operand / CAS
+     * desired and the loaded value / CAS expected.
      */
     void observeAccess(SmCtx& sm, const Warp& warp, const Instruction& inst,
                        MemSpace space, uint32_t gtid, uint64_t addr,
                        unsigned width, bool writes, uint64_t value,
                        uint64_t value2);
-    /** Record a barrier, fence or device malloc/free event (callers
-     *  check launch_.memlog: barrier and fence seqs exist only when a
-     *  log is attached). */
-    void logEvent(MemEvent::Kind kind, const SmCtx& sm, const Warp& warp,
-                  uint32_t gtid, uint64_t pc, uint64_t seq, uint64_t cycle,
-                  uint64_t addr, uint64_t value,
-                  MemScope scope = MemScope::Cta,
-                  MemOrder order = MemOrder::Relaxed);
+    /** The emission point for every other event (barrier arrival and
+     *  release, fence, block retire, device malloc/free): stamps the SM
+     *  id on @p e. Callers check obs_; barrier and fence seqs are drawn
+     *  only when an observer is attached. */
+    void logEvent(const SmCtx& sm, MemEvent e);
     uint64_t operandValue(const Warp& warp, unsigned lane,
                           const Operand& op) const;
     void admitBlocks(SmCtx& sm);
@@ -256,6 +235,8 @@ class GpuSim
     DeviceHeapAllocator& heap_;
     const Program& program_;
     Launch launch_;
+    /** launch_.options.observer: null on every unobserved launch. */
+    LaunchObserver* const obs_;
 
     /** program_.code with registers renumbered densely (0..nregs_-1);
      *  decode and issue read this copy. */

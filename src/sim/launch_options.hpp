@@ -1,9 +1,9 @@
 /**
  * @file
  * Launch-time options for Device::launch — the single kernel entry
- * point. One LaunchOptions value carries everything that used to be
- * spread over the launchTraced/launchSanitized overload family plus the
- * execution-tier selection of the two-tier engine:
+ * point. One LaunchOptions value carries the execution tier, the thread
+ * budget, dynamic shared memory and the one optional LaunchObserver.
+ * The two tiers:
  *
  *  - ExecutionTier::Detailed — the cycle-level machine (Table IV
  *    timing, caches, GTO schedulers). Byte-identical for every
@@ -24,9 +24,26 @@
 
 namespace lmi {
 
-class TraceSink;
-class RaceSanitizer;
-class MemEventSink;
+struct TraceEvent; // sim/trace.hpp
+struct MemEvent;   // sim/mem_event.hpp
+
+/**
+ * The one instrumentation interface of a launch: the NVBit analogue.
+ * An attached observer receives every issued warp instruction through
+ * onIssue and every other event (per-lane memory accesses, fences,
+ * barrier arrivals and releases, block retirement, device malloc/free)
+ * through onEvent, in per-SM issue order. Observing never perturbs
+ * simulation state or timing, but the stream is order-sensitive, so an
+ * observed launch runs on one thread. Subscribers: TraceRecorder,
+ * MemEventLog and RaceSanitizer.
+ */
+class LaunchObserver
+{
+  public:
+    virtual ~LaunchObserver() = default;
+    virtual void onIssue(const TraceEvent&) {}
+    virtual void onEvent(const MemEvent&) {}
+};
 
 /** Which engine tier executes the launch. */
 enum class ExecutionTier : uint8_t {
@@ -62,8 +79,8 @@ parseExecutionTier(const std::string& name, ExecutionTier* out)
 /**
  * Per-launch options. Everything defaults to the plain detailed launch,
  * so `dev.launch(kernel, grid, block, params)` keeps its historical
- * meaning; callers opt into tiers, tracing, sanitizing, dynamic shared
- * memory or a private thread budget by filling the relevant fields.
+ * meaning; callers opt into tiers, an observer, dynamic shared memory
+ * or a private thread budget by filling the relevant fields.
  */
 struct LaunchOptions
 {
@@ -76,13 +93,9 @@ struct LaunchOptions
      * 1). Results are byte-identical for every value within a tier.
      */
     unsigned sim_threads = 0;
-    /** Optional instruction-trace sink (NVBit-style capture). */
-    TraceSink* trace = nullptr;
-    /** Optional dynamic race sanitizer (purely observational). */
-    RaceSanitizer* sanitizer = nullptr;
-    /** Optional memory-transaction log feeding the weak-memory model
-     *  checker (purely observational; pins the launch to one thread). */
-    MemEventSink* memlog = nullptr;
+    /** Optional event subscriber (purely observational; pins the
+     *  launch to one thread). */
+    LaunchObserver* observer = nullptr;
 };
 
 } // namespace lmi

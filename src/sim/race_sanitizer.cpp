@@ -68,39 +68,36 @@ RaceSanitizer::check(MemSpace space, const Access& cur,
 }
 
 void
-RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
-                        uint32_t gtid, uint64_t pc, uint64_t addr,
-                        unsigned width, bool is_store, bool is_atomic,
-                        MemScope scope)
+RaceSanitizer::onAccess(const MemEvent& e)
 {
-    if (space != MemSpace::Global && space != MemSpace::Shared)
+    if (e.space != MemSpace::Global && e.space != MemSpace::Shared)
         return; // local/constant memory is thread-private/read-only
 
     Access cur;
     cur.valid = true;
-    cur.is_store = is_store;
-    cur.is_atomic = is_atomic;
-    cur.scope = scope;
-    cur.block = block;
-    cur.warp = warp;
-    cur.gtid = gtid;
-    cur.pc = pc;
-    if (auto it = epochs_.find(block); it != epochs_.end())
+    cur.is_store = e.kind != MemEvent::Kind::Load;
+    cur.is_atomic = e.is_atomic;
+    cur.scope = e.scope;
+    cur.block = e.block;
+    cur.warp = e.warp;
+    cur.gtid = e.gtid;
+    cur.pc = e.pc;
+    if (auto it = epochs_.find(e.block); it != epochs_.end())
         cur.epoch = it->second;
 
-    auto& shadow = space == MemSpace::Shared ? shared_ : global_;
-    const uint64_t first_word = addr >> 2;
-    const uint64_t last_word = (addr + (width ? width : 1) - 1) >> 2;
+    auto& shadow = e.space == MemSpace::Shared ? shared_ : global_;
+    const uint64_t first_word = e.addr >> 2;
+    const uint64_t last_word = (e.addr + (e.width ? e.width : 1) - 1) >> 2;
     for (uint64_t w = first_word; w <= last_word; ++w) {
-        const uint64_t key = space == MemSpace::Shared
-                                 ? (uint64_t(block) << 40) | w
+        const uint64_t key = e.space == MemSpace::Shared
+                                 ? (uint64_t(e.block) << 40) | w
                                  : w;
         Cell& cell = shadow[key];
         // A store conflicts with the previous write and the previous
         // read; a load only with the previous write.
-        check(space, cur, cell.last_write, w << 2);
-        if (is_store) {
-            check(space, cur, cell.last_read, w << 2);
+        check(e.space, cur, cell.last_write, w << 2);
+        if (cur.is_store) {
+            check(e.space, cur, cell.last_read, w << 2);
             cell.last_write = cur;
         } else {
             cell.last_read = cur;
@@ -109,32 +106,41 @@ RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
 }
 
 void
-RaceSanitizer::onBarrierRelease(uint32_t block)
+RaceSanitizer::onEvent(const MemEvent& e)
 {
-    ++epochs_[block];
-}
-
-void
-RaceSanitizer::onBlockRetire(uint32_t block)
-{
-    epochs_.erase(block);
-    const uint64_t lo = uint64_t(block) << 40;
-    const uint64_t hi = uint64_t(block + 1) << 40;
-    for (auto it = shared_.begin(); it != shared_.end();) {
-        if (it->first >= lo && it->first < hi)
-            it = shared_.erase(it);
-        else
-            ++it;
+    switch (e.kind) {
+      case MemEvent::Kind::Load:
+      case MemEvent::Kind::Store:
+      case MemEvent::Kind::Rmw:
+      case MemEvent::Kind::Cas:
+        onAccess(e);
+        break;
+      case MemEvent::Kind::BarrierRelease:
+        ++epochs_[e.block];
+        break;
+      case MemEvent::Kind::BlockRetire: {
+        epochs_.erase(e.block);
+        const uint64_t lo = uint64_t(e.block) << 40;
+        const uint64_t hi = uint64_t(e.block + 1) << 40;
+        for (auto it = shared_.begin(); it != shared_.end();) {
+            if (it->first >= lo && it->first < hi)
+                it = shared_.erase(it);
+            else
+                ++it;
+        }
+        break;
+      }
+      case MemEvent::Kind::Malloc: {
+        const uint64_t first_word = e.addr >> 2;
+        const uint64_t last_word =
+            e.value ? (e.addr + e.value - 1) >> 2 : first_word;
+        for (uint64_t w = first_word; w <= last_word; ++w)
+            global_.erase(w);
+        break;
+      }
+      default:
+        break; // fences, barrier arrivals and frees order nothing here
     }
-}
-
-void
-RaceSanitizer::onDeviceAlloc(uint64_t ptr, uint64_t size)
-{
-    const uint64_t first_word = ptr >> 2;
-    const uint64_t last_word = size ? (ptr + size - 1) >> 2 : first_word;
-    for (uint64_t w = first_word; w <= last_word; ++w)
-        global_.erase(w);
 }
 
 } // namespace lmi

@@ -3,8 +3,9 @@
  * Dynamic data-race sanitizer: the execution-time cross-check for the
  * static race analyzer (analysis/race_analysis.hpp).
  *
- * The simulator, when a launch carries a sanitizer, reports every
- * shared- and global-memory access it executes. The sanitizer keeps one
+ * Attached as a launch's LaunchObserver, the sanitizer sees every
+ * shared- and global-memory access the engine executes, plus barrier
+ * releases, block retirements and device mallocs. It keeps one
  * shadow cell per touched 4-byte word recording the last write and the
  * last read (block, warp, global thread id, barrier epoch, pc). Two
  * accesses to the same word conflict when at least one is a store and:
@@ -35,10 +36,11 @@
 #include <vector>
 
 #include "arch/isa.hpp" // MemSpace
+#include "sim/mem_event.hpp"
 
 namespace lmi {
 
-class RaceSanitizer
+class RaceSanitizer final : public LaunchObserver
 {
   public:
     /** One detected conflict (capped; total count keeps incrementing). */
@@ -56,26 +58,19 @@ class RaceSanitizer
         std::string toString() const;
     };
 
-    /** Record one executed access covering [addr, addr+width). Scoped
-     *  atomics pass is_atomic=true with their scope: a conflicting pair
-     *  where both sides are atomic at sufficient scope (cta for
-     *  same-block pairs, gpu/sys across blocks) synchronizes rather
-     *  than races and is not reported. */
-    void onAccess(MemSpace space, uint32_t block, uint32_t warp,
-                  uint32_t gtid, uint64_t pc, uint64_t addr,
-                  unsigned width, bool is_store, bool is_atomic = false,
-                  MemScope scope = MemScope::Cta);
-
-    /** A barrier released in @p block: everything before it
-     *  happens-before everything after. */
-    void onBarrierRelease(uint32_t block);
-
-    /** Block @p block retired: drop its shared shadow and epoch. */
-    void onBlockRetire(uint32_t block);
-
-    /** Device heap handed out [ptr, ptr+size): forget stale shadow so
-     *  reuse of recycled memory is not misread as a race. */
-    void onDeviceAlloc(uint64_t ptr, uint64_t size);
+    /**
+     * - A global or shared access covering [addr, addr+width) is
+     *   checked against the word shadows. A conflicting pair where both
+     *   sides are atomic at sufficient scope (cta for same-block pairs,
+     *   gpu/sys across blocks) synchronizes rather than races and is
+     *   not reported.
+     * - BarrierRelease: everything before it in the block
+     *   happens-before everything after.
+     * - BlockRetire: drop the block's shared shadow and epoch.
+     * - Malloc of [addr, addr+value): forget stale shadow so reuse of
+     *   recycled memory is not misread as a race.
+     */
+    void onEvent(const MemEvent& event) override;
 
     size_t conflictCount() const { return conflicts_; }
     size_t wordsTracked() const
@@ -103,6 +98,7 @@ class RaceSanitizer
         Access last_read;
     };
 
+    void onAccess(const MemEvent& e);
     void check(MemSpace space, const Access& cur, const Access& prev,
                uint64_t addr);
 

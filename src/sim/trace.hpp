@@ -4,8 +4,8 @@
  *
  * The paper's methodology is trace-driven (NVBit captures instruction
  * streams that MacSim replays). This module exposes the equivalent
- * capability: a TraceSink can be attached to a launch and receives one
- * event per issued warp instruction; TraceRecorder buffers them and
+ * capability: a TraceRecorder attached as the launch's LaunchObserver
+ * receives one event per issued warp instruction and buffers them;
  * TraceAnalysis summarizes the stream (instruction mix, hint-bit
  * density, per-region memory counts) — the inputs to Fig. 1-style
  * characterization.
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "arch/isa.hpp"
+#include "sim/launch_options.hpp"
 
 namespace lmi {
 
@@ -35,23 +36,15 @@ struct TraceEvent
     bool hinted = false;      ///< A bit set (pointer operation)
 };
 
-/** Receives trace events during a launch. */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-    virtual void record(const TraceEvent& event) = 0;
-};
-
-/** Buffers the whole stream in memory. */
-class TraceRecorder final : public TraceSink
+/** Buffers the whole instruction stream in memory. */
+class TraceRecorder final : public LaunchObserver
 {
   public:
     /** @param capacity stop recording beyond this many events (0 = all) */
     explicit TraceRecorder(size_t capacity = 0) : capacity_(capacity) {}
 
     void
-    record(const TraceEvent& event) override
+    onIssue(const TraceEvent& event) override
     {
         ++total_;
         if (capacity_ == 0 || events_.size() < capacity_)

@@ -427,7 +427,7 @@ runLitmus(const LitmusTest& test, uint64_t bound)
 
     MemEventLog log;
     LaunchOptions opt;
-    opt.memlog = &log;
+    opt.observer = &log;
     const RunResult run =
         dev.launch(kernel, test.blocks, test.block_threads, {buf}, opt);
     if (run.aborted)

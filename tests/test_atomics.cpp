@@ -375,33 +375,45 @@ TEST(AtomicSim, ByteIdenticalAcrossSimThreads)
 // Race sanitizer: scoped-atomic exemption.
 // ---------------------------------------------------------------------
 
+/** Feed @p san one global 4-byte store event. */
+void
+storeEvent(RaceSanitizer& san, uint32_t block, uint32_t warp,
+           uint32_t gtid, uint64_t pc, uint64_t addr, bool is_atomic,
+           MemScope scope = MemScope::Cta)
+{
+    MemEvent e;
+    e.kind = MemEvent::Kind::Store;
+    e.is_atomic = is_atomic;
+    e.scope = scope;
+    e.block = block;
+    e.warp = warp;
+    e.gtid = gtid;
+    e.pc = pc;
+    e.addr = addr;
+    san.onEvent(e);
+}
+
 TEST(AtomicSanitizer, ScopedAtomicPairsDoNotConflict)
 {
     RaceSanitizer san;
     // Same-block pair, both atomic at cta scope: synchronizes.
-    san.onAccess(MemSpace::Global, /*block=*/0, /*warp=*/0, /*gtid=*/0,
-                 /*pc=*/0, 0x1000, 4, /*is_store=*/true,
-                 /*is_atomic=*/true, MemScope::Cta);
-    san.onAccess(MemSpace::Global, 0, 1, 32, 4, 0x1000, 4, true, true,
-                 MemScope::Cta);
+    storeEvent(san, /*block=*/0, /*warp=*/0, /*gtid=*/0, /*pc=*/0, 0x1000,
+               /*is_atomic=*/true, MemScope::Cta);
+    storeEvent(san, 0, 1, 32, 4, 0x1000, true, MemScope::Cta);
     EXPECT_EQ(san.conflictCount(), 0u);
     // Cross-block pair at cta scope: insufficient, a race.
-    san.onAccess(MemSpace::Global, 1, 0, 64, 8, 0x1000, 4, true, true,
-                 MemScope::Cta);
+    storeEvent(san, 1, 0, 64, 8, 0x1000, true, MemScope::Cta);
     EXPECT_EQ(san.conflictCount(), 1u);
 }
 
 TEST(AtomicSanitizer, DeviceScopeCoversCrossBlock)
 {
     RaceSanitizer san;
-    san.onAccess(MemSpace::Global, 0, 0, 0, 0, 0x2000, 4, true, true,
-                 MemScope::Gpu);
-    san.onAccess(MemSpace::Global, 1, 0, 64, 4, 0x2000, 4, true, true,
-                 MemScope::Sys);
+    storeEvent(san, 0, 0, 0, 0, 0x2000, true, MemScope::Gpu);
+    storeEvent(san, 1, 0, 64, 4, 0x2000, true, MemScope::Sys);
     EXPECT_EQ(san.conflictCount(), 0u);
     // Atomic against a plain access still races.
-    san.onAccess(MemSpace::Global, 2, 0, 128, 8, 0x2000, 4, true,
-                 /*is_atomic=*/false);
+    storeEvent(san, 2, 0, 128, 8, 0x2000, /*is_atomic=*/false);
     EXPECT_GE(san.conflictCount(), 1u);
 }
 

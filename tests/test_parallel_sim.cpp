@@ -9,7 +9,8 @@
  * registered mechanism across structurally different workloads and for
  * the deferred device-heap path, comparing cycles, the complete
  * instruction/cache profile, faults, the full stat registry, and an
- * order-independent digest of global memory.
+ * order-independent digest of global memory. The same comparison pins
+ * that attaching a LaunchObserver changes none of it.
  */
 
 #include <array>
@@ -19,6 +20,9 @@
 #include "common/logging.hpp"
 #include "ir/builder.hpp"
 #include "mechanisms/registry.hpp"
+#include "sim/mem_event.hpp"
+#include "sim/race_sanitizer.hpp"
+#include "sim/trace.hpp"
 #include "workloads/workloads.hpp"
 
 namespace lmi {
@@ -35,12 +39,14 @@ struct RunSnapshot
 
 RunSnapshot
 runAt(MechanismKind kind, const WorkloadProfile& profile, double scale,
-      unsigned sim_threads, ExecutionTier tier = ExecutionTier::Detailed)
+      unsigned sim_threads, ExecutionTier tier = ExecutionTier::Detailed,
+      LaunchObserver* observer = nullptr)
 {
     Device dev(makeMechanism(kind));
     dev.setSimThreads(sim_threads);
     LaunchOptions options;
     options.tier = tier;
+    options.observer = observer;
     const WorkloadRun run =
         runWorkload(dev, profile, scale, RaceSeed::None, options);
     RunSnapshot snap;
@@ -148,6 +154,68 @@ TEST(ParallelSim, MultiWaveLaunchByteIdenticalAcrossThreadCounts)
             for (unsigned threads : {2u, 8u}) {
                 SCOPED_TRACE("sim_threads=" + std::to_string(threads));
                 expectIdentical(serial, runAt(kind, p, 1.0, threads, tier));
+            }
+        }
+    }
+}
+
+/** Counts every event it receives, per kind. */
+struct CountingObserver final : LaunchObserver
+{
+    uint64_t issued = 0;
+    std::map<MemEvent::Kind, uint64_t> events;
+
+    void onIssue(const TraceEvent&) override { ++issued; }
+    void onEvent(const MemEvent& e) override { ++events[e.kind]; }
+};
+
+TEST(ParallelSim, ObservedLaunchRunsLikeTheUnobservedOne)
+{
+    // Observing is purely passive: with any subscriber attached (which
+    // also pins the launch to one thread and draws event seqs for
+    // fences and barriers), results equal the plain launch at every
+    // sim_threads value. nn with a device-heap allocation emits Malloc
+    // events; hotspot's shared tiles emit barrier and shared-access
+    // events.
+    WorkloadProfile heap = findWorkload("nn");
+    heap.heap_allocs = 1;
+    heap.heap_alloc_bytes = 300;
+    const WorkloadProfile barrier = findWorkload("hotspot");
+    for (const WorkloadProfile& p : {heap, barrier}) {
+        for (ExecutionTier tier :
+             {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+            for (unsigned threads : {1u, 4u}) {
+                SCOPED_TRACE(p.name + "/" + executionTierName(tier) +
+                             "/sim_threads=" + std::to_string(threads));
+                const RunSnapshot plain =
+                    runAt(MechanismKind::Lmi, p, 0.1, threads, tier);
+                EXPECT_FALSE(plain.result.faulted());
+
+                CountingObserver counter;
+                TraceRecorder recorder;
+                MemEventLog log;
+                RaceSanitizer sanitizer;
+                for (LaunchObserver* obs : std::initializer_list<
+                         LaunchObserver*>{&counter, &recorder, &log,
+                                          &sanitizer})
+                    expectIdentical(plain, runAt(MechanismKind::Lmi, p,
+                                                 0.1, threads, tier, obs));
+
+                EXPECT_EQ(counter.issued, plain.result.instructions);
+                EXPECT_EQ(recorder.totalSeen(), plain.result.instructions);
+                EXPECT_GT(counter.events[MemEvent::Kind::Load], 0u);
+                EXPECT_GT(counter.events[MemEvent::Kind::Store], 0u);
+                EXPECT_GT(counter.events[MemEvent::Kind::BlockRetire], 0u);
+                EXPECT_FALSE(log.events().empty());
+                EXPECT_GT(sanitizer.wordsTracked(), 0u);
+                if (p.name == heap.name) {
+                    EXPECT_GT(counter.events[MemEvent::Kind::Malloc], 0u);
+                } else {
+                    EXPECT_GT(counter.events[MemEvent::Kind::Barrier], 0u);
+                    EXPECT_GT(
+                        counter.events[MemEvent::Kind::BarrierRelease],
+                        0u);
+                }
             }
         }
     }

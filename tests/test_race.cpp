@@ -217,20 +217,51 @@ TEST(RaceAnalysis, EverySeededVariantIsFlagged)
 // Dynamic sanitizer: conflict rule, exercised directly.
 // ---------------------------------------------------------------------
 
+/** Feed @p s one access event, as the engine's LSU would. */
+void
+feedAccess(RaceSanitizer& s, MemSpace space, uint32_t block, uint32_t warp,
+           uint32_t gtid, uint64_t pc, uint64_t addr, unsigned width,
+           bool is_store)
+{
+    MemEvent e;
+    e.kind = is_store ? MemEvent::Kind::Store : MemEvent::Kind::Load;
+    e.space = space;
+    e.block = block;
+    e.warp = warp;
+    e.gtid = gtid;
+    e.pc = pc;
+    e.addr = addr;
+    e.width = uint8_t(width);
+    s.onEvent(e);
+}
+
+/** Feed @p s one non-access event. */
+void
+feed(RaceSanitizer& s, MemEvent::Kind kind, uint32_t block,
+     uint64_t addr = 0, uint64_t value = 0)
+{
+    MemEvent e;
+    e.kind = kind;
+    e.block = block;
+    e.addr = addr;
+    e.value = value;
+    s.onEvent(e);
+}
+
 TEST(RaceSanitizer, SameWarpAccessesNeverConflict)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
-    s.onAccess(MemSpace::Shared, 0, 0, 1, 11, 0x40, 4, true);
-    s.onAccess(MemSpace::Shared, 0, 0, 2, 12, 0x40, 4, false);
+    feedAccess(s, MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
+    feedAccess(s, MemSpace::Shared, 0, 0, 1, 11, 0x40, 4, true);
+    feedAccess(s, MemSpace::Shared, 0, 0, 2, 12, 0x40, 4, false);
     EXPECT_EQ(s.conflictCount(), 0u);
 }
 
 TEST(RaceSanitizer, CrossWarpSameEpochStoreConflicts)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
-    s.onAccess(MemSpace::Shared, 0, 1, 32, 11, 0x40, 4, true);
+    feedAccess(s, MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
+    feedAccess(s, MemSpace::Shared, 0, 1, 32, 11, 0x40, 4, true);
     EXPECT_EQ(s.conflictCount(), 1u);
     ASSERT_EQ(s.reports().size(), 1u);
     EXPECT_EQ(s.reports()[0].warp, 1u);
@@ -241,61 +272,61 @@ TEST(RaceSanitizer, CrossWarpSameEpochStoreConflicts)
 TEST(RaceSanitizer, LoadLoadNeverConflicts)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Global, 0, 0, 0, 10, 0x100, 4, false);
-    s.onAccess(MemSpace::Global, 1, 0, 64, 11, 0x100, 4, false);
+    feedAccess(s, MemSpace::Global, 0, 0, 0, 10, 0x100, 4, false);
+    feedAccess(s, MemSpace::Global, 1, 0, 64, 11, 0x100, 4, false);
     EXPECT_EQ(s.conflictCount(), 0u);
 }
 
 TEST(RaceSanitizer, BarrierEpochOrdersCrossWarpAccesses)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
-    s.onBarrierRelease(0);
-    s.onAccess(MemSpace::Shared, 0, 1, 32, 11, 0x40, 4, false);
+    feedAccess(s, MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
+    feed(s, MemEvent::Kind::BarrierRelease, 0);
+    feedAccess(s, MemSpace::Shared, 0, 1, 32, 11, 0x40, 4, false);
     EXPECT_EQ(s.conflictCount(), 0u);
 
     // A second store in the *new* epoch conflicts with the epoch-1 load
     // from the other warp.
-    s.onAccess(MemSpace::Shared, 0, 0, 0, 12, 0x40, 4, true);
+    feedAccess(s, MemSpace::Shared, 0, 0, 0, 12, 0x40, 4, true);
     EXPECT_EQ(s.conflictCount(), 1u);
 }
 
 TEST(RaceSanitizer, CrossBlockGlobalConflictIgnoresBarriers)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Global, 0, 0, 0, 10, 0x200, 4, true);
-    s.onBarrierRelease(0);
-    s.onBarrierRelease(1);
-    s.onAccess(MemSpace::Global, 1, 0, 64, 11, 0x200, 4, true);
+    feedAccess(s, MemSpace::Global, 0, 0, 0, 10, 0x200, 4, true);
+    feed(s, MemEvent::Kind::BarrierRelease, 0);
+    feed(s, MemEvent::Kind::BarrierRelease, 1);
+    feedAccess(s, MemSpace::Global, 1, 0, 64, 11, 0x200, 4, true);
     EXPECT_EQ(s.conflictCount(), 1u);
 }
 
 TEST(RaceSanitizer, DeviceAllocForgetsRecycledShadow)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Global, 0, 0, 0, 10, 0x300, 4, true);
-    s.onDeviceAlloc(0x300, 64);
-    s.onAccess(MemSpace::Global, 1, 0, 64, 11, 0x300, 4, true);
+    feedAccess(s, MemSpace::Global, 0, 0, 0, 10, 0x300, 4, true);
+    feed(s, MemEvent::Kind::Malloc, 0, 0x300, 64);
+    feedAccess(s, MemSpace::Global, 1, 0, 64, 11, 0x300, 4, true);
     EXPECT_EQ(s.conflictCount(), 0u);
 }
 
 TEST(RaceSanitizer, BlockRetireDropsSharedShadowAndEpoch)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
+    feedAccess(s, MemSpace::Shared, 0, 0, 0, 10, 0x40, 4, true);
     EXPECT_EQ(s.wordsTracked(), 1u);
-    s.onBlockRetire(0);
+    feed(s, MemEvent::Kind::BlockRetire, 0);
     EXPECT_EQ(s.wordsTracked(), 0u);
     // A new resident block with the same id starts clean.
-    s.onAccess(MemSpace::Shared, 0, 1, 32, 11, 0x40, 4, true);
+    feedAccess(s, MemSpace::Shared, 0, 1, 32, 11, 0x40, 4, true);
     EXPECT_EQ(s.conflictCount(), 0u);
 }
 
 TEST(RaceSanitizer, WideAccessChecksEveryWord)
 {
     RaceSanitizer s;
-    s.onAccess(MemSpace::Global, 0, 0, 0, 10, 0x400, 8, true);
-    s.onAccess(MemSpace::Global, 0, 1, 32, 11, 0x404, 4, true);
+    feedAccess(s, MemSpace::Global, 0, 0, 0, 10, 0x400, 8, true);
+    feedAccess(s, MemSpace::Global, 0, 1, 32, 11, 0x404, 4, true);
     EXPECT_EQ(s.conflictCount(), 1u);
 }
 
@@ -333,7 +364,7 @@ TEST(RaceSanitizer, CleanLaunchHasNoConflictsAndIdenticalOutput)
             dev.poke32(in + 4 * i, 100 + i);
         const CompiledKernel k = dev.compile(build(), "rev");
         LaunchOptions opts;
-        opts.sanitizer = sanitizer;
+        opts.observer = sanitizer;
         opts.tier = tier;
         const RunResult r = dev.launch(k, 1, n, {in, out}, opts);
         std::vector<uint32_t> result;
@@ -375,7 +406,7 @@ TEST(RaceSanitizer, BroadcastLaunchReportsCrossWarpConflicts)
         const CompiledKernel k = dev.compile(m, "bcast");
         RaceSanitizer sanitizer;
         LaunchOptions opts;
-        opts.sanitizer = &sanitizer;
+        opts.observer = &sanitizer;
         opts.tier = tier;
         const RunResult r = dev.launch(k, 1, 64, {out}, opts);
         EXPECT_FALSE(r.faulted());

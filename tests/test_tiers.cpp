@@ -115,7 +115,7 @@ TEST(TierCrossValidation, FunctionalLogsSameGlobalAccessesAsDetailed)
         MemEventLog log;
         LaunchOptions opts;
         opts.tier = tier;
-        opts.memlog = &log;
+        opts.observer = &log;
         runWorkload(dev, profile, 0.1, RaceSeed::None, opts);
         std::vector<Key> keys;
         for (const MemEvent& e : log.events())

@@ -19,12 +19,12 @@ namespace {
 
 using namespace ir;
 
-/** LaunchOptions with @p sink attached (the old launchTraced). */
+/** LaunchOptions with @p recorder as the observer. */
 LaunchOptions
-traced(TraceSink& sink)
+traced(TraceRecorder& recorder)
 {
     LaunchOptions opts;
-    opts.trace = &sink;
+    opts.observer = &recorder;
     return opts;
 }
 

@@ -81,6 +81,7 @@
 #include "mechanisms/registry.hpp"
 #include "runner/experiment_runner.hpp"
 #include "security/coverage.hpp"
+#include "sim/race_sanitizer.hpp"
 #include "sim/trace.hpp"
 #include "workloads/churn.hpp"
 #include "workloads/litmus.hpp"
@@ -574,7 +575,7 @@ cmdRaces(const GlobalOpts& opts)
             Device dev;
             RaceSanitizer sanitizer;
             LaunchOptions lopts = tierOptions(opts);
-            lopts.sanitizer = &sanitizer;
+            lopts.observer = &sanitizer;
             const WorkloadRun run =
                 runWorkload(dev, item.profile, 0.25, item.seed, lopts);
             dynamic_conflicts = sanitizer.conflictCount();
@@ -775,7 +776,7 @@ cmdTrace(const std::string& workload, MechanismKind kind, size_t events)
         dev.compile(buildWorkloadKernel(small), small.name);
     TraceRecorder recorder(events);
     LaunchOptions lopts;
-    lopts.trace = &recorder;
+    lopts.observer = &recorder;
     const RunResult r =
         dev.launch(ck, small.grid_blocks, small.block_threads,
                    {in, out, small.elements()}, lopts);
