@@ -68,11 +68,13 @@ using namespace lmi;
 namespace {
 
 /** Fixed basket: scattered (bfs), integer-dense (gaussian),
- *  shared-heavy (needle), stencil (hotspot), and one DNN inference
- *  profile (bert) — small enough for CI, diverse enough that a
- *  regression in any hot path (ALU, memory, scheduler) shows up. */
-const char* const kBasket[] = {"bfs", "gaussian", "hotspot", "needle",
-                               "bert"};
+ *  shared-heavy (needle), stencil (hotspot), one DNN inference profile
+ *  (bert) and one stack-using kernel (particlefilter_naive, whose every
+ *  thread touches local memory) — small enough for CI, diverse enough
+ *  that a regression in any hot path (ALU, global/shared/local memory,
+ *  scheduler) shows up. */
+const char* const kBasket[] = {"bfs",    "gaussian", "hotspot",
+                               "needle", "bert",     "particlefilter_naive"};
 
 /** Serial basket runs per invocation; the median one is reported. */
 constexpr size_t kBasketRuns = 3;

@@ -9,10 +9,18 @@
  * mechanism-specific check/LDST ratio into the cell's stat gauges so it
  * exports (and caches) with the rest of the cell.
  *
- * Paper headlines: memcheck geomean 32.98x, LMI-by-DBI geomean 72.95x;
- * the per-workload winner flips with the ratio of LMI bound checks to
- * LD/ST instructions (gaussian 67.14 -> memcheck wins big; swin 28.13 ->
- * the gap narrows). JIT recompilation itself is only ~5%.
+ * Paper headlines: memcheck geomean 32.98x, LMI-by-DBI geomean 72.95x,
+ * and JIT recompilation itself costs only ~5%. The paper attributes the
+ * per-workload winner flip to the ratio of LMI bound checks to LD/ST
+ * instructions (gaussian 67.14: memcheck wins big; swin 28.13: the gap
+ * narrows).
+ *
+ * What this harness measures: per workload, memcheck and LMI-by-DBI
+ * cycles normalized to the baseline, plus LMI-by-DBI's check/LDST
+ * ratio; it prints both geomeans and the gaussian and swin ratios next
+ * to the paper's. In this model memcheck is faster on every workload at
+ * scale 1.0: the gap narrows with the ratio (8.6x on gaussian, ~2x at
+ * ratios 9.5-18) but no winner flips (EXPERIMENTS.md, Figure 13).
  */
 
 #include <cstdio>

@@ -431,7 +431,7 @@ struct GpuSim::SmCtx
      *  reads zero". Per-SM (not launch-global) so worker threads never
      *  share them. */
     std::vector<SparseMemory> shared_arena;
-    std::vector<SparseMemory> local_arena;
+    std::vector<LocalMemory> local_arena; ///< line-sized pages (memory.hpp)
     std::vector<uint32_t> shared_free;
     std::vector<uint32_t> local_free;
 
@@ -976,7 +976,7 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     uint64_t* const dst_row =
         (!is_store && inst.dst >= 0) ? warp.regRow(unsigned(inst.dst))
                                      : nullptr;
-    SparseMemory* const local_base =
+    LocalMemory* const local_base =
         sm.local_arena.empty()
             ? nullptr // kernel has no local-memory instructions
             : sm.local_arena.data() +
@@ -1004,29 +1004,24 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
         // view (frozen base + own-store overlay); shared and local are
         // SM-private arenas accessed directly.
         const uint64_t addr = check.address;
-        SparseMemory* mem = nullptr;
+        auto accessIn = [&](auto& mem) {
+            if (is_store)
+                mem.write(addr, store_val.get(lane), inst.width);
+            else
+                dst_row[lane] = mem.read(addr, inst.width);
+        };
         switch (space) {
           case MemSpace::Global:
+            accessIn(sm.gview);
             break;
           case MemSpace::Shared:
-            mem = warp.shared;
+            accessIn(*warp.shared);
             break;
           case MemSpace::Local:
-            mem = local_base + lane;
+            accessIn(local_base[lane]);
             break;
           case MemSpace::Constant:
             lmi_panic("constant space reached the LSU");
-        }
-
-        if (!mem) {
-            if (is_store)
-                sm.gview.write(addr, store_val.get(lane), inst.width);
-            else
-                dst_row[lane] = sm.gview.read(addr, inst.width);
-        } else if (is_store) {
-            mem->write(addr, store_val.get(lane), inst.width);
-        } else {
-            dst_row[lane] = mem->read(addr, inst.width);
         }
 
         if (obs_)

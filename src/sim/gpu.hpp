@@ -53,7 +53,10 @@
  *    stall fast-forward read one field per warp;
  *  - per-thread local and per-block shared memories live in dense,
  *    residency-bounded per-SM arenas reused across waves (slots are
- *    zero-reset on reuse), replacing per-access hash-map lookups;
+ *    zero-reset on reuse), replacing per-access hash-map lookups; a
+ *    local slot is a LocalMemory with line-sized (128 B) pages, since
+ *    each of a launch's threads touches only a few dozen stack bytes
+ *    and a 4 KiB page per thread would dominate peak memory;
  *  - the SM loop is gated by live/barrier/retire counters so block
  *    retirement scans, admission and barrier release run only on the
  *    cycles where they can act, and per-scheduler sleep targets allow

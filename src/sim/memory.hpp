@@ -2,9 +2,22 @@
  * @file
  * Functional backing store: a sparse, page-granular byte memory.
  *
- * Used for global memory (one instance per device), per-block shared
- * memory, and per-thread local memory. Pages materialize zero-filled on
- * first touch, so the 8 GB global space costs only what kernels touch.
+ * Pages materialize zero-filled on first touch, so the 8 GB global
+ * space costs only what kernels touch. The page size is a template
+ * parameter:
+ *
+ *  - SparseMemory (4 KiB pages) backs global memory (one instance per
+ *    device, plus the parallel engine's page overlays and stamps built
+ *    on its page size) and per-block shared memory;
+ *  - LocalMemory (128 B pages, one L1 line) backs per-thread local
+ *    memory. A launch has one instance per resident thread and a thread
+ *    touches only a few dozen bytes of stack, so a 4 KiB page per
+ *    thread would spend ~250 MB and its zero-fill on a 61,440-thread
+ *    grid; a line-sized page costs a few hundred bytes per thread.
+ *
+ * The byte image, and so every simulated result, does not depend on the
+ * page size; only digest() and pageCount() are page-granular, and
+ * neither is taken over local memory.
  *
  * A one-entry last-page cache short-circuits the page map for the common
  * case of consecutive accesses landing on the same page (coalesced warp
@@ -26,14 +39,16 @@
 namespace lmi {
 
 /**
- * Sparse byte-addressable memory. Mutation is single-threaded; while no
- * writer is active, concurrent readers must go through the const
- * peekPage() path (read()/findPage() mutate the one-entry page cache).
+ * Sparse byte-addressable memory with @p PageBytes-byte pages. Mutation
+ * is single-threaded; while no writer is active, concurrent readers
+ * must go through the const peekPage() path (read()/findPage() mutate
+ * the one-entry page cache).
  */
-class SparseMemory
+template <uint64_t PageBytes>
+class BasicSparseMemory
 {
   public:
-    static constexpr uint64_t kPageBytes = 4096;
+    static constexpr uint64_t kPageBytes = PageBytes;
 
     /** Read @p n bytes (n <= 8) little-endian into a value. */
     uint64_t
@@ -191,5 +206,11 @@ class SparseMemory
     uint64_t cached_idx_ = kNoPage;
     uint8_t* cached_page_ = nullptr;
 };
+
+/** Global and shared memory: 4 KiB pages. */
+using SparseMemory = BasicSparseMemory<4096>;
+
+/** Per-thread local memory: one 128-byte L1 line per page. */
+using LocalMemory = BasicSparseMemory<128>;
 
 } // namespace lmi

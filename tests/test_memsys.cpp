@@ -1,6 +1,7 @@
 /**
  * @file
- * Direct unit tests for the memory-system models: SparseMemory,
+ * Direct unit tests for the memory-system models: SparseMemory and
+ * LocalMemory (one sparse store at two page sizes),
  * CacheModel (set-associative LRU), and DramModel (bandwidth queueing).
  */
 
@@ -12,91 +13,140 @@
 namespace lmi {
 namespace {
 
+/**
+ * Runs @p body once per page size in use: 4 KiB global/shared pages and
+ * 128 B local pages must behave alike. The body is a template lambda
+ * taking the memory type (`[]<class Mem>() { ... }`).
+ */
+template <class Body>
+void
+forEachPageSize(Body body)
+{
+    {
+        SCOPED_TRACE("SparseMemory, 4 KiB pages");
+        body.template operator()<SparseMemory>();
+    }
+    {
+        SCOPED_TRACE("LocalMemory, 128 B pages");
+        body.template operator()<LocalMemory>();
+    }
+}
+
 TEST(SparseMemory, ZeroFilledOnFirstTouch)
 {
-    SparseMemory mem;
-    EXPECT_EQ(mem.read(0x123456, 8), 0u);
-    EXPECT_EQ(mem.pageCount(), 0u); // reads do not materialize pages
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        EXPECT_EQ(mem.read(0x123456, 8), 0u);
+        EXPECT_EQ(mem.pageCount(), 0u); // reads do not materialize pages
+    });
 }
 
 TEST(SparseMemory, ReadWriteRoundTrip)
 {
-    SparseMemory mem;
-    mem.write(0x1000, 0xDEADBEEFCAFEF00Dull, 8);
-    EXPECT_EQ(mem.read(0x1000, 8), 0xDEADBEEFCAFEF00Dull);
-    EXPECT_EQ(mem.read(0x1000, 4), 0xCAFEF00Du);
-    EXPECT_EQ(mem.read(0x1004, 4), 0xDEADBEEFu);
-    EXPECT_EQ(mem.pageCount(), 1u);
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        mem.write(0x1000, 0xDEADBEEFCAFEF00Dull, 8);
+        EXPECT_EQ(mem.read(0x1000, 8), 0xDEADBEEFCAFEF00Dull);
+        EXPECT_EQ(mem.read(0x1000, 4), 0xCAFEF00Du);
+        EXPECT_EQ(mem.read(0x1004, 4), 0xDEADBEEFu);
+        EXPECT_EQ(mem.pageCount(), 1u);
+    });
 }
 
 TEST(SparseMemory, CrossPageAccess)
 {
-    SparseMemory mem;
-    const uint64_t addr = SparseMemory::kPageBytes - 3;
-    mem.write(addr, 0x1122334455667788ull, 8);
-    EXPECT_EQ(mem.read(addr, 8), 0x1122334455667788ull);
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        const uint64_t addr = Mem::kPageBytes - 3;
+        mem.write(addr, 0x1122334455667788ull, 8);
+        EXPECT_EQ(mem.read(addr, 8), 0x1122334455667788ull);
+        EXPECT_EQ(mem.pageCount(), 2u);
+    });
+}
+
+TEST(SparseMemory, LocalLineStraddle)
+{
+    // An 8-byte stack access at offset 124 spans two 128 B local pages;
+    // each half must land in, and read back from, its own page.
+    LocalMemory mem;
+    mem.write(124, 0x1122334455667788ull, 8);
     EXPECT_EQ(mem.pageCount(), 2u);
+    EXPECT_EQ(mem.read(124, 8), 0x1122334455667788ull);
+    EXPECT_EQ(mem.read(124, 4), 0x55667788u);
+    EXPECT_EQ(mem.read(128, 4), 0x11223344u);
+    EXPECT_EQ(mem.read(120, 4), 0u);
+    EXPECT_EQ(mem.read(132, 4), 0u);
 }
 
 TEST(SparseMemory, BulkTransfer)
 {
-    SparseMemory mem;
-    std::vector<uint8_t> payload(10000);
-    for (size_t i = 0; i < payload.size(); ++i)
-        payload[i] = uint8_t(i * 7);
-    mem.writeBytes(123, payload.data(), payload.size());
-    std::vector<uint8_t> back(payload.size());
-    mem.readBytes(123, back.data(), back.size());
-    EXPECT_EQ(back, payload);
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        std::vector<uint8_t> payload(10000);
+        for (size_t i = 0; i < payload.size(); ++i)
+            payload[i] = uint8_t(i * 7);
+        mem.writeBytes(123, payload.data(), payload.size());
+        std::vector<uint8_t> back(payload.size());
+        mem.readBytes(123, back.data(), back.size());
+        EXPECT_EQ(back, payload);
+    });
 }
 
 TEST(SparseMemory, PartialWidthWritePreservesNeighbors)
 {
-    SparseMemory mem;
-    mem.write(0x100, 0xAAAAAAAAAAAAAAAAull, 8);
-    mem.write(0x102, 0x42, 1);
-    EXPECT_EQ(mem.read(0x100, 8), 0xAAAAAAAAAA42AAAAull);
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        mem.write(0x100, 0xAAAAAAAAAAAAAAAAull, 8);
+        mem.write(0x102, 0x42, 1);
+        EXPECT_EQ(mem.read(0x100, 8), 0xAAAAAAAAAA42AAAAull);
+    });
 }
 
 TEST(SparseMemory, ResetInvalidatesPageCache)
 {
     // The one-entry last-page cache must not serve storage that
     // reset() released.
-    SparseMemory mem;
-    mem.write(0x2000, 0x1111, 2); // cache now points at this page
-    EXPECT_EQ(mem.read(0x2000, 2), 0x1111u);
-    mem.reset();
-    EXPECT_EQ(mem.read(0x2000, 2), 0u);
-    EXPECT_EQ(mem.pageCount(), 0u); // the read did not re-materialize
-    mem.write(0x2000, 0x2222, 2);
-    EXPECT_EQ(mem.read(0x2000, 2), 0x2222u);
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        mem.write(0x2000, 0x1111, 2); // cache now points at this page
+        EXPECT_EQ(mem.read(0x2000, 2), 0x1111u);
+        mem.reset();
+        EXPECT_EQ(mem.read(0x2000, 2), 0u);
+        EXPECT_EQ(mem.pageCount(), 0u); // the read did not re-materialize
+        mem.write(0x2000, 0x2222, 2);
+        EXPECT_EQ(mem.read(0x2000, 2), 0x2222u);
+    });
 }
 
 TEST(SparseMemory, PageCacheTracksSwitches)
 {
     // Alternating between pages must always read the right storage.
-    SparseMemory mem;
-    const uint64_t a = 0;
-    const uint64_t b = 5 * SparseMemory::kPageBytes;
-    mem.write(a, 0xAA, 1);
-    mem.write(b, 0xBB, 1);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(mem.read(a, 1), 0xAAu);
-        EXPECT_EQ(mem.read(b, 1), 0xBBu);
-    }
-    EXPECT_EQ(mem.pageCount(), 2u);
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        const uint64_t a = 0;
+        const uint64_t b = 5 * Mem::kPageBytes;
+        mem.write(a, 0xAA, 1);
+        mem.write(b, 0xBB, 1);
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_EQ(mem.read(a, 1), 0xAAu);
+            EXPECT_EQ(mem.read(b, 1), 0xBBu);
+        }
+        EXPECT_EQ(mem.pageCount(), 2u);
+    });
 }
 
 TEST(SparseMemory, TopOfAddressSpace)
 {
     // Wild 64-bit addresses (reachable under the unprotected baseline)
     // must behave like any other page, including the very last one.
-    SparseMemory mem;
-    const uint64_t addr = ~uint64_t(0) - 7; // last 8 bytes of memory
-    EXPECT_EQ(mem.read(addr, 8), 0u);
-    mem.write(addr, 0x0123456789ABCDEFull, 8);
-    EXPECT_EQ(mem.read(addr, 8), 0x0123456789ABCDEFull);
-    EXPECT_EQ(mem.pageCount(), 1u);
+    forEachPageSize([]<class Mem>() {
+        Mem mem;
+        const uint64_t addr = ~uint64_t(0) - 7; // last 8 bytes of memory
+        EXPECT_EQ(mem.read(addr, 8), 0u);
+        mem.write(addr, 0x0123456789ABCDEFull, 8);
+        EXPECT_EQ(mem.read(addr, 8), 0x0123456789ABCDEFull);
+        EXPECT_EQ(mem.pageCount(), 1u);
+    });
 }
 
 TEST(CacheModel, HitAfterFill)

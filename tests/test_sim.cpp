@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/mem_map.hpp"
 #include "ir/builder.hpp"
 #include "sim/device.hpp"
 
@@ -220,6 +221,77 @@ TEST(Sim, LocalStackBuffer)
         ASSERT_EQ(dev.peek32(out_buf + 4 * i), 3 * i) << "i=" << i;
     EXPECT_GT(r.ldl, 0u);
     EXPECT_GT(r.stl, 0u);
+}
+
+TEST(Sim, ReusedLocalSlotsReadZero)
+{
+    // Every thread loads a stack word before storing to it: fresh local
+    // memory must read zero even when the slot held an earlier wave's
+    // thread. One SM with two resident blocks runs six blocks in three
+    // waves, so waves two and three reuse wave one's local slots.
+    IrFunction f =
+        IrBuilder::makeKernel("stk_fresh", {{"out", Type::ptr(4)}});
+    IrBuilder b(f);
+    b.setInsertPoint(b.block("entry"));
+    auto out = b.param(0);
+    auto buf = b.alloca_(64, 4);
+    auto t = b.gtid();
+    auto slot = b.gep(buf, b.constInt(5));
+    b.store(b.gep(out, t), b.load(slot));
+    b.store(slot, b.iadd(t, b.constInt(1)));
+    b.ret();
+    const IrModule m = module(std::move(f));
+
+    GpuConfig cfg;
+    cfg.num_sms = 1;
+    cfg.max_blocks_per_sm = 2;
+    const unsigned blocks = 6, threads = 64;
+    for (const ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+        SCOPED_TRACE(tier == ExecutionTier::Detailed ? "detailed"
+                                                     : "functional");
+        Device dev(cfg);
+        const uint64_t out_buf = dev.cudaMalloc(blocks * threads * 4);
+        for (unsigned i = 0; i < blocks * threads; ++i)
+            dev.poke32(out_buf + 4 * i, 0xFFFFFFFFu);
+        const CompiledKernel k = dev.compile(m, "stk_fresh");
+        LaunchOptions opts;
+        opts.tier = tier;
+        const RunResult r = dev.launch(k, blocks, threads, {out_buf}, opts);
+        ASSERT_FALSE(r.faulted());
+        EXPECT_GT(r.ldl, 0u);
+        EXPECT_GT(r.stl, 0u);
+        for (unsigned i = 0; i < blocks * threads; ++i)
+            ASSERT_EQ(dev.peek32(out_buf + 4 * i), 0u) << "thread " << i;
+    }
+}
+
+TEST(Sim, LocalMemoryIsPrivatePerThreadBeyondTheWindow)
+{
+    // Every thread stores its own value to the same local VA outside the
+    // per-thread window (as spatial.local.beyond.write does; the
+    // baseline lets it through) and must read back its own value.
+    IrFunction f = IrBuilder::makeKernel(
+        "stk_far", {{"out", Type::ptr(4)}, {"idx", Type::i64()}});
+    IrBuilder b(f);
+    b.setInsertPoint(b.block("entry"));
+    auto out = b.param(0);
+    auto buf = b.alloca_(256, 4);
+    auto t = b.gtid();
+    auto slot = b.gep(buf, b.param(1));
+    b.store(slot, b.iadd(t, b.constInt(100)));
+    b.store(b.gep(out, t), b.load(slot));
+    b.ret();
+
+    Device dev;
+    const unsigned n = 64;
+    const uint64_t out_buf = dev.cudaMalloc(n * 4);
+    const CompiledKernel k = dev.compile(module(std::move(f)), "stk_far");
+    const RunResult r = dev.launch(k, 1, n, {out_buf, kLocalWindow / 4});
+    ASSERT_FALSE(r.faulted());
+    EXPECT_GT(r.ldl, 0u);
+    for (unsigned i = 0; i < n; ++i)
+        ASSERT_EQ(dev.peek32(out_buf + 4 * i), 100 + i) << "thread " << i;
 }
 
 TEST(Sim, DeviceMallocFree)
