@@ -1,13 +1,13 @@
 /**
  * @file
  * Tracked allocator-throughput benchmark: operations per wall-clock
- * second on the churn basket (workloads/churn.hpp) — the number the
- * message-passing rearchitecture is gated on.
+ * second on the churn basket (workloads/churn.hpp) — the number
+ * allocator changes are gated on.
  *
  * Runs the fixed 6-spec basket (small/mixed/cross-SM device-heap
  * churn, packed and pow2 host churn, and a stale-free temporal
- * scenario), reports per-spec ops/s plus the remote-free machinery's
- * drain statistics and end-state fragmentation, and writes the numbers
+ * scenario), reports per-spec ops/s plus the remote-free drain
+ * statistics and end-state fragmentation, and writes the numbers
  * to a JSON file (BENCH_alloc_throughput.json by default — the
  * committed copy at the repo root is the tracked baseline).
  *
@@ -192,7 +192,6 @@ main(int argc, char** argv)
             << ", \"oom\": " << r.oom
             << ", \"stale_faults\": " << r.stale_faults
             << ", \"remote_posted\": " << r.remote_posted
-            << ", \"remote_batches\": " << r.remote_batches
             << ", \"remote_drained\": " << r.remote_drained
             << ", \"drain_calls\": " << r.drain_calls
             << ", \"footprint\": " << r.footprint

@@ -1,25 +1,57 @@
 #include "alloc/msg_heap.hpp"
 
 #include <algorithm>
+#include <string>
 
+#include "arch/mem_map.hpp"
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
 
 namespace lmi {
 
+namespace {
+
+// The exported stat surface (sweep-JSON `counters`). Each role keeps
+// the names and counting points its runtime always had: the host
+// counts successful allocations and their bytes, the device heap
+// counts malloc attempts, buffer groups, and quarantined frees as
+// frees.
+const std::string kHostAllocs = "alloc.global.allocs";
+const std::string kHostFrees = "alloc.global.frees";
+const std::string kHostReserved = "alloc.global.reserved_bytes";
+const std::string kHostRequested = "alloc.global.requested_bytes";
+const std::string kHostQuarantined = "alloc.global.quarantined_bytes";
+const std::string kHeapMallocs = "alloc.heap.mallocs";
+const std::string kHeapFrees = "alloc.heap.frees";
+const std::string kHeapGroups = "alloc.heap.groups";
+
+/** Warp shards per context: threads of different warps fill different
+ *  buffer groups, like the real runtime's parallel allocation. */
+constexpr unsigned kShardsPerCtx = 4;
+
+} // namespace
+
 MessageHeap::MessageHeap(Config config, StatRegistry* stats)
-    : config_(std::move(config)), stats_(stats),
-      range_(config_.region_base, config_.region_size)
+    : config_(config), stats_(stats)
 {
-    if (config_.region_size == 0)
-        lmi_fatal("MessageHeap: empty region");
+    if (config_.region_size == 0) {
+        const bool host = config_.role == HeapRole::Host;
+        config_.region_base = host ? kGlobalBase : kHeapBase;
+        config_.region_size = host ? kGlobalSize - kHeapSize : kHeapSize;
+    }
+    range_ = RangeAllocator(config_.region_base, config_.region_size);
     if (config_.contexts == 0)
         config_.contexts = 1;
     ctx_.resize(config_.contexts);
-    for (CtxState& cs : ctx_) {
-        cs.groups.resize(size_t(config_.shards_per_ctx) * 2);
-        cs.outbox.resize(config_.contexts);
-    }
+    for (CtxState& cs : ctx_)
+        cs.groups.resize(size_t(kShardsPerCtx) * 2);
+}
+
+void
+MessageHeap::count(const std::string& name, uint64_t delta)
+{
+    if (stats_)
+        stats_->inc(name, delta);
 }
 
 MessageHeap::Shape
@@ -27,7 +59,7 @@ MessageHeap::shapeFor(uint64_t size)
 {
     Shape s;
     if (config_.policy == AllocPolicy::Pow2Aligned) {
-        s.reserved = config_.codec.alignedSize(size);
+        s.reserved = kDefaultCodec.alignedSize(size);
         if (s.reserved == 0)
             return s;
         s.align = s.reserved;
@@ -35,45 +67,58 @@ MessageHeap::shapeFor(uint64_t size)
                                             : kHugeClass;
         return s;
     }
-    if (config_.chunked) {
-        s.chunk = config_.geom.chunkUnitFor(size);
+    if (chunked()) {
+        s.chunk = chunkUnitFor(size);
         s.chunks = unsigned((size + s.chunk - 1) / s.chunk);
+        // Group storage and oversized blocks place at the device
+        // heap's 16-byte backing alignment.
         s.align = 16;
-        if (s.chunks > config_.geom.chunks_per_group) {
+        if (s.chunks > kChunksPerGroup) {
             // Oversized request: dedicated placement (paper Fig. 5).
             s.reserved = alignUp(size, s.chunk);
             s.cls = kHugeClass;
         } else {
             s.reserved = uint64_t(s.chunks) * s.chunk;
-            s.cls = classes_.classFor(s.reserved, s.chunk, s.chunks);
+            s.cls = classes_.classFor(s.reserved);
         }
         return s;
     }
-    s.reserved = alignUp(std::max<uint64_t>(size, 1), config_.packed_align);
-    s.align = config_.packed_align;
+    // cudaMalloc's documented 256-byte minimum alignment.
+    s.align = 256;
+    s.reserved = alignUp(std::max<uint64_t>(size, 1), s.align);
     s.cls = s.reserved <= kMaxSlabBlock ? classes_.classFor(s.reserved)
                                         : kHugeClass;
     return s;
 }
 
 uint64_t
+MessageHeap::carveRange(uint64_t bytes, uint64_t align)
+{
+    const uint64_t base = range_.alloc(bytes, align);
+    if (base != 0) {
+        footprint_ += bytes;
+        peak_footprint_ = std::max(peak_footprint_, footprint_);
+    }
+    return base;
+}
+
+uint64_t
 MessageHeap::carveFromGroup(uint32_t ctx, uint32_t tid, const Shape& s)
 {
     CtxState& cs = ctx_[ctx];
-    const unsigned shard = (tid / 32) % config_.shards_per_ctx;
-    const size_t key = size_t(shard) * 2 +
-                       (s.chunk == config_.geom.large_chunk ? 1 : 0);
+    const unsigned shard = (tid / 32) % kShardsPerCtx;
+    const size_t key = size_t(shard) * 2 + (s.chunk == kLargeChunk ? 1 : 0);
     auto& glist = cs.groups[key];
 
     // Bump from the first open group with room; retire full groups.
     for (size_t i = 0; i < glist.size();) {
         OpenGroup& g = glist[i];
-        if (g.cursor >= g.cap) {
+        if (g.cursor >= kChunksPerGroup) {
             glist[i] = glist.back();
             glist.pop_back();
             continue;
         }
-        if (g.cursor + s.chunks <= g.cap) {
+        if (g.cursor + s.chunks <= kChunksPerGroup) {
             const uint64_t base = g.base + uint64_t(g.cursor) * g.chunk;
             g.cursor += s.chunks;
             return base;
@@ -82,22 +127,18 @@ MessageHeap::carveFromGroup(uint32_t ctx, uint32_t tid, const Shape& s)
     }
 
     // Open a new group: header + chunk storage from the range layer.
-    const uint64_t storage =
-        uint64_t(config_.geom.chunks_per_group) * s.chunk;
-    const uint64_t raw = range_.alloc(config_.group_header + storage, s.align);
+    const uint64_t raw =
+        carveRange(kGroupHeader + uint64_t(kChunksPerGroup) * s.chunk,
+                   s.align);
     if (raw == 0)
         return 0;
-    footprint_ += config_.group_header + storage;
-    peak_footprint_ = std::max(peak_footprint_, footprint_);
     ++group_count_;
-    if (stats_ && !config_.stat_groups.empty())
-        stats_->inc(config_.stat_groups);
+    count(kHeapGroups);
 
     OpenGroup g;
-    g.base = raw + config_.group_header;
+    g.base = raw + kGroupHeader;
     g.chunk = s.chunk;
     g.cursor = s.chunks;
-    g.cap = config_.geom.chunks_per_group;
     glist.push_back(g);
     return g.base;
 }
@@ -116,18 +157,11 @@ MessageHeap::carveFromSlab(uint32_t ctx, const Shape& s)
     }
 
     const uint64_t blocks = std::max<uint64_t>(kSlabBytes / s.reserved, 2);
-    const uint64_t slab = range_.alloc(blocks * s.reserved, s.align);
+    const uint64_t slab = carveRange(blocks * s.reserved, s.align);
     if (slab == 0) {
         // Region too tight for a whole slab: squeeze out one block.
-        const uint64_t base = range_.alloc(s.reserved, s.align);
-        if (base != 0) {
-            footprint_ += s.reserved;
-            peak_footprint_ = std::max(peak_footprint_, footprint_);
-        }
-        return base;
+        return carveRange(s.reserved, s.align);
     }
-    footprint_ += blocks * s.reserved;
-    peak_footprint_ = std::max(peak_footprint_, footprint_);
     ++slab_count_;
     sl.cursor = slab + s.reserved;
     sl.end = slab + blocks * s.reserved;
@@ -137,14 +171,8 @@ MessageHeap::carveFromSlab(uint32_t ctx, const Shape& s)
 uint64_t
 MessageHeap::acquire(uint32_t ctx, uint32_t tid, const Shape& s)
 {
-    if (s.cls == kHugeClass) {
-        const uint64_t base = range_.alloc(s.reserved, s.align);
-        if (base != 0) {
-            footprint_ += s.reserved;
-            peak_footprint_ = std::max(peak_footprint_, footprint_);
-        }
-        return base;
-    }
+    if (s.cls == kHugeClass)
+        return carveRange(s.reserved, s.align);
 
     CtxState& cs = ctx_[ctx];
     if (s.cls < cs.cache.size() && !cs.cache[s.cls].empty()) {
@@ -159,11 +187,10 @@ MessageHeap::acquire(uint32_t ctx, uint32_t tid, const Shape& s)
         --cached_blocks_;
         return base;
     }
-    return config_.chunked ? carveFromGroup(ctx, tid, s)
-                           : carveFromSlab(ctx, s);
+    return chunked() ? carveFromGroup(ctx, tid, s) : carveFromSlab(ctx, s);
 }
 
-MessageHeap::Extent&
+void
 MessageHeap::mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
                         uint64_t requested)
 {
@@ -238,7 +265,6 @@ MessageHeap::mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
     rec->id = next_id_++;
     rec->owner = ctx;
     rec->cls = s.cls;
-    return *rec;
 }
 
 uint64_t
@@ -248,8 +274,9 @@ MessageHeap::alloc(uint32_t ctx, uint32_t tid, uint64_t size)
         return 0;
     if (ctx >= config_.contexts)
         ctx %= config_.contexts;
-    if (stats_ && config_.stat_alloc_early && !config_.stat_alloc.empty())
-        stats_->inc(config_.stat_alloc);
+    const bool host = config_.role == HeapRole::Host;
+    if (!host)
+        count(kHeapMallocs);
 
     const Shape s = shapeFor(size);
     if (s.reserved == 0) {
@@ -260,7 +287,7 @@ MessageHeap::alloc(uint32_t ctx, uint32_t tid, uint64_t size)
 
     uint64_t base = acquire(ctx, tid, s);
     if (base == 0) {
-        // Reclaim in-flight remote frees (canonical order) and retry
+        // Reclaim pending remote frees (canonical order) and retry
         // before reporting exhaustion.
         drainRemote();
         base = acquire(ctx, tid, s);
@@ -272,18 +299,12 @@ MessageHeap::alloc(uint32_t ctx, uint32_t tid, uint64_t size)
     live_reserved_ += s.reserved;
     live_requested_ += size;
     peak_reserved_ = std::max(peak_reserved_, live_reserved_);
-    if (stats_) {
-        if (!config_.stat_alloc_early && !config_.stat_alloc.empty())
-            stats_->inc(config_.stat_alloc);
-        if (!config_.stat_reserved.empty())
-            stats_->inc(config_.stat_reserved, s.reserved);
-        if (!config_.stat_requested.empty())
-            stats_->inc(config_.stat_requested, size);
+    if (host) {
+        count(kHostAllocs);
+        count(kHostReserved, s.reserved);
+        count(kHostRequested, size);
     }
-
-    if (config_.policy == AllocPolicy::Pow2Aligned && config_.encode_extent)
-        return config_.codec.encode(base, size);
-    return base;
+    return encodes() ? kDefaultCodec.encode(base, size) : base;
 }
 
 void
@@ -305,41 +326,30 @@ MessageHeap::pushLocal(uint32_t ctx, uint32_t cls, uint64_t base)
     }
 }
 
-void
-MessageHeap::postRemote(uint32_t from, uint32_t owner, uint32_t cls,
-                        uint64_t base)
-{
-    CtxState& cs = ctx_[from];
-    auto& buf = cs.outbox[owner];
-    buf.push_back(RemoteMsg{base, cls, from, cs.next_seq++});
-    ++remote_stats_.posted;
-    if (buf.size() >= kRemoteBatch) {
-        ctx_[owner].inbox.post(std::move(buf));
-        buf = {};
-        ++remote_stats_.batches;
-    }
-}
-
 MaybeFault
 MessageHeap::free(uint32_t ctx, uint64_t ptr)
 {
     if (ctx >= config_.contexts)
         ctx %= config_.contexts;
-    const uint64_t addr = PointerCodec::addressOf(ptr);
+    const bool host = config_.role == HeapRole::Host;
     // The runtime requires the pointer to be the exact block base; for
     // LMI pointers the base is recoverable from the extent.
-    uint64_t base = addr;
-    if (config_.policy == AllocPolicy::Pow2Aligned &&
-        config_.encode_extent && PointerCodec::isValid(ptr)) {
-        base = config_.codec.baseOf(ptr);
-    }
+    const uint64_t base = encodes() && PointerCodec::isValid(ptr)
+                              ? kDefaultCodec.baseOf(ptr)
+                              : PointerCodec::addressOf(ptr);
 
     auto it = extents_.find(base);
-    if (it == extents_.end())
-        return Fault{FaultKind::InvalidFree, base, config_.invalid_free_msg};
+    if (it == extents_.end()) {
+        return Fault{FaultKind::InvalidFree, base,
+                     host ? "cudaFree of pointer not returned by cudaMalloc"
+                          : "device free of pointer not returned by malloc"};
+    }
     Extent& e = it->second;
-    if (!e.live)
-        return Fault{FaultKind::DoubleFree, base, config_.double_free_msg};
+    if (!e.live) {
+        return Fault{FaultKind::DoubleFree, base,
+                     host ? "cudaFree of already-freed pointer"
+                          : "device free of already-freed pointer"};
+    }
 
     e.live = false;
     live_reserved_ -= e.reserved;
@@ -347,13 +357,10 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
 
     if (config_.quarantine_frees) {
         // One-time allocation: the address range stays retired.
-        if (stats_) {
-            if (!config_.stat_quarantined.empty())
-                stats_->inc(config_.stat_quarantined, e.reserved);
-            if (config_.stat_free_on_quarantine &&
-                !config_.stat_free.empty())
-                stats_->inc(config_.stat_free);
-        }
+        if (host)
+            count(kHostQuarantined, e.reserved);
+        else
+            count(kHeapFrees);
         return std::nullopt;
     }
 
@@ -366,45 +373,33 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
     } else if (e.owner == ctx) {
         pushLocal(ctx, e.cls, e.base);
     } else {
-        postRemote(ctx, e.owner, e.cls, e.base);
+        // Foreign free: the range stays unusable until the owner's
+        // next drain, exactly as if it were still in flight.
+        CtxState& from = ctx_[ctx];
+        ctx_[e.owner].pending.push_back(
+            RemoteMsg{e.base, e.cls, ctx, from.next_seq++});
+        ++remote_stats_.posted;
     }
 
-    if (stats_ && !config_.stat_free.empty())
-        stats_->inc(config_.stat_free);
+    count(host ? kHostFrees : kHeapFrees);
     return std::nullopt;
 }
 
 void
 MessageHeap::drainRemote()
 {
-    // O(1) when nothing is in flight — the simulator calls this every
+    // O(1) when nothing is pending — the simulator calls this every
     // slice, and most slices free nothing across SMs.
-    if (remote_stats_.posted == remote_stats_.drained)
+    if (remotePending() == 0)
         return;
     ++remote_stats_.drain_calls;
-    // Flush every unflushed producer batch first, in canonical context
-    // order, so no message can outlive a drain.
-    for (uint32_t from = 0; from < config_.contexts; ++from) {
-        CtxState& cs = ctx_[from];
-        for (uint32_t to = 0; to < config_.contexts; ++to) {
-            auto& buf = cs.outbox[to];
-            if (!buf.empty()) {
-                ctx_[to].inbox.post(std::move(buf));
-                buf = {};
-                ++remote_stats_.batches;
-            }
-        }
-    }
-
-    std::vector<RemoteMsg> msgs;
     for (uint32_t to = 0; to < config_.contexts; ++to) {
-        msgs.clear();
-        ctx_[to].inbox.drainInto(msgs);
+        std::vector<RemoteMsg>& msgs = ctx_[to].pending;
         if (msgs.empty())
             continue;
         // Canonical (from, seq) replay keeps freelist order — and thus
-        // every later placement decision — byte-identical regardless of
-        // which thread posted first.
+        // every later placement decision — independent of which SM
+        // issued its free first.
         std::sort(msgs.begin(), msgs.end(),
                   [](const RemoteMsg& a, const RemoteMsg& b) {
                       return a.from != b.from ? a.from < b.from
@@ -413,6 +408,7 @@ MessageHeap::drainRemote()
         for (const RemoteMsg& m : msgs)
             pushLocal(to, m.cls, m.base);
         remote_stats_.drained += msgs.size();
+        msgs.clear();
     }
 }
 

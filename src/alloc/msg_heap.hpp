@@ -1,9 +1,26 @@
 /**
  * @file
- * Message-passing allocator core shared by the host (cudaMalloc) and
- * device-heap (in-kernel malloc) facades.
+ * The allocator: one serial heap serving both the host cudaMalloc()/
+ * cudaFree() model (paper §V-B "Global Memory") and the in-kernel
+ * malloc()/free() model (paper §IV-E, Fig. 5; §V-B "Heap Memory").
  *
- * Architecture (snmalloc-style, adapted to a deterministic simulator):
+ * The paper needs two placement policies, not two allocators:
+ *
+ *  - Packed, the baseline. A Host heap packs 256-byte-aligned blocks
+ *    (the documented cudaMalloc minimum alignment), so 2^n + eps bytes
+ *    reserve 2^n + 256. A Device heap rounds to Fig. 5 chunk units:
+ *    multiples of 80 bytes for small requests and 2208 bytes for
+ *    larger ones, carved from shared-header buffer groups sharded by
+ *    warp — the pre-existing fragmentation of up to ~50% that makes
+ *    LMI's rounding cheap in comparison.
+ *  - Pow2Aligned, LMI. Both roles round to the next power of two >= K,
+ *    size-aligned, so the returned pointer can carry its extent.
+ *
+ * The role fixes everything else: chunking, packed alignment, fault
+ * strings and the exported stat surface (`alloc.global.*` for Host,
+ * `alloc.heap.*` for Device).
+ *
+ * Structure (snmalloc-style, adapted to a deterministic simulator):
  *
  *  - An **epoch-stamped extent table**: one record per address range,
  *    ordered by base in a std::map (stable node addresses, O(log n)
@@ -12,37 +29,34 @@
  *    the safety oracle's Live/Invalidated/Reallocated views survive
  *    arbitrary churn without unbounded history growth.
  *  - **Sizeclass-segregated freelists with per-context caches**: each
- *    context (SM, or runner job) owns LIFO caches of recycled blocks,
- *    spilling to a shared central freelist when they overflow. The
- *    common alloc/free path is O(1).
- *  - **Batched remote-free MPSC queues**: a free issued by a context
- *    that does not own the block retires the extent record immediately
- *    (fault checks are synchronous) but ships the range back to its
- *    owner as a message, drained at slice boundaries in canonical
- *    (from, seq) order so `sim_threads` stays byte-identical.
+ *    context (an SM, or a churn driver's client) owns LIFO caches of
+ *    recycled blocks, spilling to a shared central freelist when they
+ *    overflow. The common alloc/free path is O(1).
+ *  - **Remote frees**: a free issued by a context that does not own the
+ *    block retires the extent record immediately (fault checks are
+ *    synchronous) but parks the range in its owner's pending list
+ *    until drainRemote(), which replays it in canonical (from, seq)
+ *    order — at slice boundaries in the simulator — so placement stays
+ *    byte-identical at every `sim_threads` count.
  *  - A first-fit coalescing **range allocator** underneath, carving
  *    slabs (Fig. 5 buffer groups in chunked mode) and serving "huge"
  *    blocks directly.
  *
  * Threading contract: all mutations (alloc/free/drainRemote) are
- * externally serialized — the simulator performs them on the commit
- * thread in canonical op order. Lookups (findLive/findAny) are
- * concurrent-read-safe while no mutation runs, which is how the
- * protection mechanisms call them from SM worker threads mid-slice.
- * RemoteQueue::post alone is genuinely lock-free, for the future
- * multi-tenant server.
+ * serial — the simulator performs them on the commit thread in
+ * canonical op order. Lookups (findLive/findAny) are concurrent-read-
+ * safe while no mutation runs, which is how the protection mechanisms
+ * call them from SM worker threads mid-slice.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "alloc/range_alloc.hpp"
-#include "alloc/remote_queue.hpp"
 #include "alloc/sizeclass.hpp"
 #include "common/stats.hpp"
 #include "core/fault.hpp"
@@ -52,8 +66,14 @@ namespace lmi {
 
 /** Block placement policy. */
 enum class AllocPolicy : uint8_t {
-    Packed,     ///< baseline cudaMalloc: 256B-aligned, tightly packed
+    Packed,     ///< baseline: 256B packing (host), Fig. 5 chunks (device)
     Pow2Aligned ///< LMI: size rounded to 2^n and size-aligned
+};
+
+/** Which runtime allocator a heap models. */
+enum class HeapRole : uint8_t {
+    Host,  ///< cudaMalloc/cudaFree over the global region
+    Device ///< in-kernel malloc/free over the device-heap region
 };
 
 /** One allocation record, as the mechanisms and tests see it. */
@@ -68,8 +88,6 @@ struct AllocBlock
 
 /** Per-context local cache capacity (blocks per sizeclass). */
 inline constexpr size_t kCacheCap = 64;
-/** Remote-free messages buffered per (from,to) pair before a post. */
-inline constexpr size_t kRemoteBatch = 32;
 
 class MessageHeap
 {
@@ -84,52 +102,33 @@ class MessageHeap
 
     struct Config
     {
+        HeapRole role = HeapRole::Host;
         AllocPolicy policy = AllocPolicy::Packed;
+        /** Managed region; a zero size selects the role's region of the
+         *  memory map (global minus the heap, or the heap). */
         uint64_t region_base = 0;
         uint64_t region_size = 0;
-        /** Packed-policy rounding/alignment (and huge-block alignment). */
-        uint64_t packed_align = 256;
-        /** Fig. 5 chunk rounding instead of packed_align (device heap). */
-        bool chunked = false;
-        ChunkGeometry geom{};
-        /** Bytes of group header preceding chunked-group storage. */
-        uint64_t group_header = 128;
+        /** Encode the LMI extent into returned pointers (Pow2Aligned). */
         bool encode_extent = false;
-        /** One-time allocation: freed ranges are never recycled. */
-        bool quarantine_frees = false;
-        unsigned contexts = 1;
-        /** Warp shards per context for chunked-group locality. */
-        unsigned shards_per_ctx = 4;
-        PointerCodec codec{};
-
-        /** Fault detail strings (differ between the two facades). */
-        std::string double_free_msg;
-        std::string invalid_free_msg;
-
         /**
-         * Legacy stat names (empty = not counted), preserving the exact
-         * pre-rearchitecture stat surface of each facade.
+         * One-time allocation (Markus/FFmalloc style, §XII-C): freed
+         * ranges are never recycled, so stale aliases can never point
+         * at a new owner.
          */
-        std::string stat_alloc, stat_free, stat_groups;
-        std::string stat_reserved, stat_requested, stat_quarantined;
-        /** Heap counted malloc attempts; global counted successes. */
-        bool stat_alloc_early = false;
-        /** Heap counted quarantined frees as frees; global did not. */
-        bool stat_free_on_quarantine = false;
-        /** Prefix for the new message-passing stats (<prefix>.remote_*). */
-        std::string stat_prefix;
+        bool quarantine_frees = false;
+        /** Contexts with private caches (one per SM). */
+        unsigned contexts = 1;
     };
 
-    /** Remote-free machinery counters (bench/bench_alloc_throughput). */
+    /** Remote-free counters (bench/bench_alloc_throughput). */
     struct RemoteStats
     {
         uint64_t posted = 0;      ///< remote frees issued
-        uint64_t batches = 0;     ///< MPSC batch publishes
-        uint64_t drained = 0;     ///< messages replayed by drains
-        uint64_t drain_calls = 0; ///< drainRemote invocations
+        uint64_t drained = 0;     ///< frees replayed by drains
+        uint64_t drain_calls = 0; ///< drains that found work
     };
 
-    MessageHeap(Config config, StatRegistry* stats);
+    explicit MessageHeap(Config config, StatRegistry* stats = nullptr);
 
     /**
      * Context @p ctx (thread @p tid for warp-shard locality) allocates
@@ -140,22 +139,23 @@ class MessageHeap
 
     /**
      * Context @p ctx frees @p ptr. The extent is retired synchronously;
-     * cross-context recycling travels through the remote queues.
+     * a block owned by another context is recycled at the next drain.
      * @return InvalidFree/DoubleFree faults; nullopt on success.
      */
     MaybeFault free(uint32_t ctx, uint64_t ptr);
 
     /**
-     * Flush every producer batch and replay all pending remote frees in
-     * canonical (from, seq) order. Called at slice boundaries (and by
-     * the alloc slow path before reporting exhaustion).
+     * Replay all pending remote frees in canonical (from, seq) order.
+     * Called at slice boundaries (and by the alloc slow path before
+     * reporting exhaustion).
      */
     void drainRemote();
 
     /** Find the live extent containing @p addr. */
     const Extent* findLive(uint64_t addr) const;
 
-    /** Find the extent (live or retired) containing @p addr. */
+    /** Find the extent (live or retired) containing @p addr — the
+     *  allocator's ground truth for fault classification. */
     const Extent* findAny(uint64_t addr) const;
 
     /** Exact-base lookup (live or retired). */
@@ -163,6 +163,7 @@ class MessageHeap
 
     uint64_t liveReservedBytes() const { return live_reserved_; }
     uint64_t liveRequestedBytes() const { return live_requested_; }
+    /** Peak of the sum of reserved bytes (Fig. 4 RSS proxy). */
     uint64_t peakReservedBytes() const { return peak_reserved_; }
 
     /** Fig. 5 buffer groups opened so far (chunked mode). */
@@ -184,8 +185,6 @@ class MessageHeap
     }
 
     const RemoteStats& remoteStats() const { return remote_stats_; }
-    const RangeAllocator& range() const { return range_; }
-    const Config& config() const { return config_; }
 
   private:
     /** Rounded shape of one request. */
@@ -204,7 +203,6 @@ class MessageHeap
         uint64_t base = 0;   ///< storage start (after header)
         uint64_t chunk = 0;  ///< chunk unit
         unsigned cursor = 0; ///< chunks carved so far
-        unsigned cap = 0;    ///< chunk capacity
     };
 
     /** Non-chunked bump slab for one sizeclass. */
@@ -212,6 +210,15 @@ class MessageHeap
     {
         uint64_t cursor = 0;
         uint64_t end = 0;
+    };
+
+    /** One remote free awaiting its owner's drain. */
+    struct RemoteMsg
+    {
+        uint64_t base = 0; ///< extent base being returned to its owner
+        uint32_t cls = 0;  ///< sizeclass index (owner-side freelist key)
+        uint32_t from = 0; ///< freeing context
+        uint64_t seq = 0;  ///< per-`from` monotonic stamp
     };
 
     struct CtxState
@@ -222,21 +229,31 @@ class MessageHeap
         std::vector<std::vector<OpenGroup>> groups;
         /** [cls] -> open bump slab. */
         std::vector<OpenSlab> open;
-        /** [to] -> unflushed remote-free batch. */
-        std::vector<std::vector<RemoteMsg>> outbox;
-        RemoteQueue inbox;
+        /** Remote frees of blocks this context owns, in post order. */
+        std::vector<RemoteMsg> pending;
         uint64_t next_seq = 0;
     };
+
+    bool chunked() const
+    {
+        return config_.role == HeapRole::Device &&
+               config_.policy == AllocPolicy::Packed;
+    }
+    bool encodes() const
+    {
+        return config_.policy == AllocPolicy::Pow2Aligned &&
+               config_.encode_extent;
+    }
+    void count(const std::string& name, uint64_t delta = 1);
 
     Shape shapeFor(uint64_t size);
     uint64_t acquire(uint32_t ctx, uint32_t tid, const Shape& s);
     uint64_t carveFromGroup(uint32_t ctx, uint32_t tid, const Shape& s);
     uint64_t carveFromSlab(uint32_t ctx, const Shape& s);
+    uint64_t carveRange(uint64_t bytes, uint64_t align);
     void pushLocal(uint32_t ctx, uint32_t cls, uint64_t base);
-    void postRemote(uint32_t from, uint32_t owner, uint32_t cls,
-                    uint64_t base);
-    Extent& mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
-                       uint64_t requested);
+    void mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
+                    uint64_t requested);
 
     Config config_;
     StatRegistry* stats_;
@@ -244,8 +261,7 @@ class MessageHeap
     SizeClassRegistry classes_;
     /** Extent table: base -> record, ranges never overlapping. */
     std::map<uint64_t, Extent> extents_;
-    /** deque: CtxState holds an atomic inbox and cannot move. */
-    std::deque<CtxState> ctx_;
+    std::vector<CtxState> ctx_;
     /** [cls] -> overflow freelist shared by all contexts. */
     std::vector<std::vector<uint64_t>> central_;
 

@@ -3,16 +3,16 @@
  * Bottom layer of the allocator stack: a first-fit, coalescing range
  * allocator over one contiguous virtual region.
  *
- * The message-passing allocator (msg_heap.hpp) carves slabs and huge
- * blocks from it; everything smaller is recycled through sizeclass
- * freelists and never comes back here. This is the old
- * GlobalAllocator placement engine, extracted so both allocator
- * facades share one range layer.
+ * The heap (msg_heap.hpp) carves slabs, buffer groups and huge blocks
+ * from it; everything smaller is recycled through sizeclass freelists
+ * and never comes back here.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 
 #include "common/bitutil.hpp"

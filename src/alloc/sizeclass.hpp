@@ -1,6 +1,6 @@
 /**
  * @file
- * Sizeclass machinery for the message-passing allocator.
+ * Sizeclass machinery and Fig. 5 chunk geometry for the allocator.
  *
  * Every recyclable block belongs to exactly one sizeclass, identified
  * by its reserved (rounded) byte size. Rounding preserves the three
@@ -11,7 +11,7 @@
  *    2208-byte large chunk above, with requests needing more than one
  *    group (128 chunks) placed as dedicated "huge" blocks rounded to a
  *    chunk multiple.
- *  - Packed (host cudaMalloc): alignUp(max(size,1), packed_align).
+ *  - Packed (host cudaMalloc): alignUp(max(size,1), 256).
  *  - Pow2Aligned (LMI): PointerCodec::alignedSize — next power of two
  *    >= K, size-aligned so the extent fits in pointer bits.
  *
@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 namespace lmi {
 
@@ -40,28 +39,22 @@ inline constexpr uint64_t kMaxSlabBlock = 256 * 1024;
 /** Target slab footprint: a slab holds ~kSlabBytes/reserved blocks. */
 inline constexpr uint64_t kSlabBytes = 64 * 1024;
 
-/** Fig. 5 chunk geometry (paper §IV-E). */
-struct ChunkGeometry
-{
-    uint64_t small_chunk = 80;
-    uint64_t large_chunk = 2208;
-    uint64_t small_limit = 1024;
-    unsigned chunks_per_group = 128;
+// Fig. 5 chunk geometry of the CUDA in-kernel allocator (paper §IV-E).
+/** Chunk unit for requests up to kSmallChunkLimit bytes. */
+inline constexpr uint64_t kSmallChunk = 80;
+/** Chunk unit for larger requests. */
+inline constexpr uint64_t kLargeChunk = 2208;
+inline constexpr uint64_t kSmallChunkLimit = 1024;
+/** Chunks per buffer group; longer runs get dedicated placement. */
+inline constexpr unsigned kChunksPerGroup = 128;
+/** Bytes of group header shared by a group's buffers. */
+inline constexpr uint64_t kGroupHeader = 128;
 
-    uint64_t
-    chunkUnitFor(uint64_t size) const
-    {
-        return size <= small_limit ? small_chunk : large_chunk;
-    }
-};
-
-/** One sizeclass: fixed reserved size, optionally chunk-denominated. */
-struct ClassInfo
+constexpr uint64_t
+chunkUnitFor(uint64_t size)
 {
-    uint64_t reserved = 0; ///< block size in bytes
-    uint64_t chunk = 0;    ///< chunk unit (chunked mode), else 0
-    unsigned chunks = 0;   ///< chunks per block (chunked mode), else 0
-};
+    return size <= kSmallChunkLimit ? kSmallChunk : kLargeChunk;
+}
 
 /**
  * Registry of sizeclasses, created on demand. Indices are assigned in
@@ -73,22 +66,13 @@ class SizeClassRegistry
   public:
     /** Class for @p reserved bytes, creating it on first sight. */
     uint32_t
-    classFor(uint64_t reserved, uint64_t chunk = 0, unsigned chunks = 0)
+    classFor(uint64_t reserved)
     {
-        auto it = index_.find(reserved);
-        if (it != index_.end())
-            return it->second;
-        const uint32_t cls = uint32_t(classes_.size());
-        classes_.push_back(ClassInfo{reserved, chunk, chunks});
-        index_.emplace(reserved, cls);
-        return cls;
+        return index_.try_emplace(reserved, uint32_t(index_.size()))
+            .first->second;
     }
 
-    const ClassInfo& info(uint32_t cls) const { return classes_[cls]; }
-    size_t count() const { return classes_.size(); }
-
   private:
-    std::vector<ClassInfo> classes_;
     std::unordered_map<uint64_t, uint32_t> index_;
 };
 

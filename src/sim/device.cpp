@@ -30,22 +30,22 @@ Device::init()
     const AllocPolicy policy = mech_->allocPolicy();
     const bool encode = mech_->encodePointers();
 
-    GlobalAllocator::Config gcfg;
-    gcfg.policy = policy;
-    gcfg.encode_extent = encode;
-    gcfg.quarantine_frees = mech_->quarantineFrees();
-    gcfg.region_base = kGlobalBase;
-    gcfg.region_size = kGlobalSize - kHeapSize;
-    global_alloc_ = std::make_unique<GlobalAllocator>(gcfg, &stats_);
-
-    DeviceHeapAllocator::Config hcfg;
-    hcfg.policy = policy;
-    hcfg.encode_extent = encode;
-    hcfg.quarantine_frees = mech_->quarantineFrees();
-    // One allocator context per SM: private sizeclass caches plus an
-    // MPSC remote-free inbox drained at each slice boundary.
-    hcfg.contexts = config_.num_sms;
-    heap_alloc_ = std::make_unique<DeviceHeapAllocator>(hcfg, &stats_);
+    const bool quarantine = mech_->quarantineFrees();
+    global_alloc_ = std::make_unique<MessageHeap>(
+        MessageHeap::Config{.role = HeapRole::Host,
+                            .policy = policy,
+                            .encode_extent = encode,
+                            .quarantine_frees = quarantine},
+        &stats_);
+    // One allocator context per SM: private sizeclass caches, with
+    // cross-SM frees replayed at each slice boundary.
+    heap_alloc_ = std::make_unique<MessageHeap>(
+        MessageHeap::Config{.role = HeapRole::Device,
+                            .policy = policy,
+                            .encode_extent = encode,
+                            .quarantine_frees = quarantine,
+                            .contexts = config_.num_sms},
+        &stats_);
 
     DeviceState state;
     state.global_alloc = global_alloc_.get();
@@ -60,7 +60,7 @@ uint64_t
 Device::cudaMalloc(uint64_t size)
 {
     const uint64_t redzone = mech_->hostRedzoneBytes();
-    const uint64_t raw = global_alloc_->alloc(size + 2 * redzone);
+    const uint64_t raw = global_alloc_->alloc(0, 0, size + 2 * redzone);
     if (raw == 0)
         return 0;
     const uint64_t ptr = raw + redzone;
@@ -74,7 +74,7 @@ Device::cudaFree(uint64_t& ptr)
         return f;
     const uint64_t redzone = mech_->hostRedzoneBytes();
     const uint64_t raw = mech_->canonical(ptr) - redzone;
-    const MaybeFault f = global_alloc_->free(raw);
+    const MaybeFault f = global_alloc_->free(0, raw);
     if (!f && mech_->encodePointers()) {
         // The runtime clears the extent so further accesses through this
         // handle are invalid (temporal safety, §V-B / §VIII).

@@ -19,8 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
+#include "alloc/msg_heap.hpp"
 #include "compiler/codegen.hpp"
 #include "ir/ir.hpp"
 #include "sim/config.hpp"
@@ -90,8 +89,10 @@ class Device
 
     // --- Introspection ----------------------------------------------------
     ProtectionMechanism& mechanism() { return *mech_; }
-    GlobalAllocator& globalAllocator() { return *global_alloc_; }
-    DeviceHeapAllocator& heapAllocator() { return *heap_alloc_; }
+    /** The cudaMalloc heap (Host role). */
+    MessageHeap& globalAllocator() { return *global_alloc_; }
+    /** The in-kernel malloc heap (Device role, one context per SM). */
+    MessageHeap& heapAllocator() { return *heap_alloc_; }
     SparseMemory& globalMemory() { return global_mem_; }
     const GpuConfig& config() const { return config_; }
     StatRegistry& stats() { return stats_; }
@@ -112,8 +113,8 @@ class Device
     std::unique_ptr<ProtectionMechanism> mech_;
     StatRegistry stats_;
     SparseMemory global_mem_;
-    std::unique_ptr<GlobalAllocator> global_alloc_;
-    std::unique_ptr<DeviceHeapAllocator> heap_alloc_;
+    std::unique_ptr<MessageHeap> global_alloc_;
+    std::unique_ptr<MessageHeap> heap_alloc_;
 };
 
 } // namespace lmi

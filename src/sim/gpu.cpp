@@ -669,7 +669,7 @@ class GpuSim::WorkerPool
 // ---------------------------------------------------------------------
 
 GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
-               SparseMemory& global_mem, DeviceHeapAllocator& heap,
+               SparseMemory& global_mem, MessageHeap& heap,
                const Program& program, Launch launch)
     : config_(config),
       mech_(mech),
@@ -850,44 +850,6 @@ GpuSim::resolveSrc(const Warp& warp, const InstDesc& d, unsigned idx) const
         break;
     }
     return r;
-}
-
-uint64_t
-GpuSim::operandValue(const Warp& warp, unsigned lane,
-                     const Operand& op) const
-{
-    switch (op.kind) {
-      case Operand::Kind::None:
-        return 0;
-      case Operand::Kind::Reg:
-        return warp.regv(lane, unsigned(op.value));
-      case Operand::Kind::Imm:
-        return op.value;
-      case Operand::Kind::CBank: {
-        uint64_t v = 0;
-        if (op.value + 8 <= cbank_.size())
-            std::memcpy(&v, cbank_.data() + op.value, 8);
-        return v;
-      }
-      case Operand::Kind::Special: {
-        const uint32_t tid = warp.warp_in_block * config_.warp_size + lane;
-        switch (SpecialReg(op.value)) {
-          case SpecialReg::TidX:      return tid;
-          case SpecialReg::TidY:      return 0;
-          case SpecialReg::CtaIdX:    return warp.block;
-          case SpecialReg::CtaIdY:    return 0;
-          case SpecialReg::NTidX:     return launch_.block_threads;
-          case SpecialReg::NTidY:     return 1;
-          case SpecialReg::NCtaIdX:   return launch_.grid_blocks;
-          case SpecialReg::LaneId:    return lane;
-          case SpecialReg::WarpId:    return warp.warp_in_block;
-          case SpecialReg::SmId:      return 0;
-          case SpecialReg::GlobalTid: return warp.first_gtid + lane;
-        }
-        return 0;
-      }
-    }
-    return 0;
 }
 
 void
@@ -1437,9 +1399,10 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         op.seq = sm.event_seq++;
         op.dst = int16_t(inst.dst);
         op.active = warp.active;
+        const ResolvedSrc size_or_ptr = resolveSrc(warp, d, 0);
         for (unsigned lane = 0; lane < warp.lanes; ++lane)
             if (warp.active & (1u << lane))
-                op.vals[lane] = operandValue(warp, lane, inst.src[0]);
+                op.vals[lane] = size_or_ptr.get(lane);
         sm.heap_q.push_back(op);
         warp.heap_pending = true;
         ++sm.heap_pending_warps;
@@ -2082,7 +2045,7 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                 if (op.is_malloc) {
                     const uint64_t size = op.vals[lane];
                     const uint64_t ptr =
-                        heap_.malloc(sm.sm_id, w.first_gtid + lane, size);
+                        heap_.alloc(sm.sm_id, w.first_gtid + lane, size);
                     if (ptr == 0) {
                         Fault f;
                         f.kind = FaultKind::InvalidFree;
@@ -2105,7 +2068,7 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                     const uint64_t ptr = op.vals[lane];
                     MaybeFault f = mech_.onDeviceFree(ptr);
                     if (!f)
-                        f = heap_.free(sm.sm_id, w.first_gtid + lane, ptr);
+                        f = heap_.free(sm.sm_id, ptr);
                     if (f) {
                         candidates.push_back(
                             {op.cycle, sm.sm_id, op.seq, std::move(*f)});

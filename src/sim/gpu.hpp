@@ -108,7 +108,7 @@ class GpuSim
 {
   public:
     GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
-           SparseMemory& global_mem, DeviceHeapAllocator& heap,
+           SparseMemory& global_mem, MessageHeap& heap,
            const Program& program, Launch launch);
     ~GpuSim(); // out of line: members of internal (incomplete) types
 
@@ -221,8 +221,6 @@ class GpuSim
      *  id on @p e. Callers check obs_; barrier and fence seqs are drawn
      *  only when an observer is attached. */
     void logEvent(const SmCtx& sm, MemEvent e);
-    uint64_t operandValue(const Warp& warp, unsigned lane,
-                          const Operand& op) const;
     void admitBlocks(SmCtx& sm);
     void retireBlocks(SmCtx& sm);
     void markWarpDone(SmCtx& sm, Warp& warp);
@@ -235,7 +233,7 @@ class GpuSim
     const GpuConfig& config_;
     ProtectionMechanism& mech_;
     SparseMemory& global_mem_;
-    DeviceHeapAllocator& heap_;
+    MessageHeap& heap_;
     const Program& program_;
     Launch launch_;
     /** launch_.options.observer: null on every unobserved launch. */

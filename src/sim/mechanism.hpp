@@ -24,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
+#include "alloc/msg_heap.hpp"
 #include "arch/isa.hpp"
 #include "common/stats.hpp"
 #include "compiler/codegen.hpp"
@@ -39,8 +38,8 @@ namespace lmi {
 /** Everything a mechanism may need to inspect or mutate device state. */
 struct DeviceState
 {
-    GlobalAllocator* global_alloc = nullptr;
-    DeviceHeapAllocator* heap_alloc = nullptr;
+    MessageHeap* global_alloc = nullptr; ///< cudaMalloc heap (Host role)
+    MessageHeap* heap_alloc = nullptr;   ///< in-kernel heap (Device role)
     SparseMemory* global_mem = nullptr;
     StatRegistry* stats = nullptr;
     const GpuConfig* config = nullptr;

@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "ir/builder.hpp"
@@ -32,18 +30,24 @@ struct Handle
 };
 
 /**
- * The shared driver loop. @p mal / @p fre adapt the two facades; the
- * RNG draw order is part of the workload definition (the pre- and
- * post-rearchitecture allocators must see the identical op stream for
- * the throughput comparison to mean anything), so nothing here may
- * consume randomness conditionally on allocator behaviour except the
- * documented stale-free alias retirement.
+ * The driver loop. The RNG draw order is part of the workload
+ * definition (every allocator revision must see the identical op
+ * stream for the throughput comparison to mean anything), so nothing
+ * here may consume randomness conditionally on allocator behaviour
+ * except the documented stale-free alias retirement.
  */
-template <typename MallocFn, typename FreeFn, typename DrainFn>
 ChurnResult
-drive(const ChurnSpec& s, unsigned drain_interval, MallocFn&& mal,
-      FreeFn&& fre, DrainFn&& drain)
+drive(const ChurnSpec& s, unsigned drain_interval, MessageHeap& heap)
 {
+    // tid = ctx*64 puts each context's allocations in its own warp
+    // shard, like distinct warps on distinct SMs (the host role has no
+    // shards and ignores it).
+    auto mal = [&](uint32_t ctx, uint64_t size) {
+        return heap.alloc(ctx, ctx * 64, size);
+    };
+    auto fre = [&](uint32_t ctx, uint64_t ptr) {
+        return heap.free(ctx, ptr).has_value() ? 1 : 0;
+    };
     Rng rng(s.seed);
     std::vector<Handle> live, stale;
     live.reserve(s.live_target + 1);
@@ -107,34 +111,28 @@ drive(const ChurnSpec& s, unsigned drain_interval, MallocFn&& mal,
                 stale.push_back(h);
         }
         if (drain_interval && (op + 1) % drain_interval == 0)
-            drain();
+            heap.drainRemote();
     }
-    drain();
+    heap.drainRemote();
     const auto t1 = std::chrono::steady_clock::now();
     r.wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     r.live_at_end = live.size();
-    return r;
-}
 
-void
-finish(ChurnResult* r, const MessageHeap& core)
-{
-    r->live_reserved = core.liveReservedBytes();
-    r->footprint = core.footprintBytes();
-    r->peak_footprint = core.peakFootprintBytes();
-    r->cached_blocks = core.cachedBlocks();
-    r->groups = core.groupCount();
-    r->slabs = core.slabCount();
-    r->extents = core.extentCount();
-    r->remote_posted = core.remoteStats().posted;
-    r->remote_batches = core.remoteStats().batches;
-    r->remote_drained = core.remoteStats().drained;
-    r->drain_calls = core.remoteStats().drain_calls;
-    r->fragmentation =
-        r->footprint > 0
-            ? 1.0 - double(r->live_reserved) / double(r->footprint)
-            : 0.0;
+    r.live_reserved = heap.liveReservedBytes();
+    r.footprint = heap.footprintBytes();
+    r.peak_footprint = heap.peakFootprintBytes();
+    r.cached_blocks = heap.cachedBlocks();
+    r.groups = heap.groupCount();
+    r.slabs = heap.slabCount();
+    r.extents = heap.extentCount();
+    r.remote_posted = heap.remoteStats().posted;
+    r.remote_drained = heap.remoteStats().drained;
+    r.drain_calls = heap.remoteStats().drain_calls;
+    r.fragmentation =
+        r.footprint > 0 ? 1.0 - double(r.live_reserved) / double(r.footprint)
+                        : 0.0;
+    return r;
 }
 
 } // namespace
@@ -144,7 +142,7 @@ churnBasket()
 {
     // Fixed basket. Sizes/probabilities pick out the allocator's hot
     // paths: sizeclass cache hits (small), slab vs chunk carving
-    // (mixed), heavy remote-queue traffic (cross_sm at 16 contexts,
+    // (mixed), heavy remote-free traffic (cross_sm at 16 contexts,
     // half the frees foreign), the host allocator's packed and pow2
     // rounding, and extent-epoch churn under stale frees (temporal).
     static const std::vector<ChurnSpec> basket = {
@@ -189,42 +187,12 @@ runChurn(const ChurnSpec& spec, unsigned drain_interval)
     if (spec.mix.empty() || spec.contexts == 0)
         lmi_fatal("churn spec '%s' needs a size mix and >= 1 context",
                   spec.name.c_str());
-    if (spec.device_heap) {
-        DeviceHeapAllocator::Config cfg;
-        cfg.policy = spec.policy;
-        cfg.encode_extent = spec.encode_extent;
-        cfg.contexts = spec.contexts;
-        DeviceHeapAllocator heap(cfg);
-        // tid = ctx*64 puts each context's allocations in its own warp
-        // shard, like distinct warps on distinct SMs.
-        ChurnResult r = drive(
-            spec, drain_interval,
-            [&](uint32_t ctx, uint64_t size) {
-                return heap.malloc(ctx, ctx * 64, size);
-            },
-            [&](uint32_t ctx, uint64_t ptr) {
-                return heap.free(ctx, ctx * 64, ptr).has_value() ? 1 : 0;
-            },
-            [&] { heap.drainRemote(); });
-        finish(&r, heap.core());
-        return r;
-    }
-    GlobalAllocator::Config cfg;
-    cfg.policy = spec.policy;
-    cfg.encode_extent = spec.encode_extent;
-    cfg.contexts = spec.contexts;
-    GlobalAllocator ga(cfg);
-    ChurnResult r = drive(
-        spec, drain_interval,
-        [&](uint32_t ctx, uint64_t size) {
-            return ga.allocFrom(ctx, size);
-        },
-        [&](uint32_t ctx, uint64_t ptr) {
-            return ga.freeFrom(ctx, ptr).has_value() ? 1 : 0;
-        },
-        [&] { ga.drainRemote(); });
-    finish(&r, ga.core());
-    return r;
+    MessageHeap heap({.role = spec.device_heap ? HeapRole::Device
+                                               : HeapRole::Host,
+                      .policy = spec.policy,
+                      .encode_extent = spec.encode_extent,
+                      .contexts = spec.contexts});
+    return drive(spec, drain_interval, heap);
 }
 
 namespace {
@@ -287,7 +255,7 @@ buildChurnDrainKernel(unsigned rounds, unsigned block_threads)
     auto table = b.param(0);
     // XOR flips the low bit of the *block* index: thread t frees what
     // its neighbour block allocated, so (with blocks on distinct SMs)
-    // every free is remote and rides the MPSC queues home.
+    // every free is remote and waits for the owner's next drain.
     auto victim = b.ixor(b.gtid(), b.constInt(int64_t(block_threads)));
     auto slot0 = b.imul(victim, b.constInt(int64_t(rounds)));
     for (unsigned r = 0; r < rounds; r += 2) {

@@ -1,24 +1,24 @@
 /**
  * @file
- * Allocation-churn workload family for the message-passing allocator.
+ * Allocation-churn workload family for the allocator (MessageHeap).
  *
  * Two layers:
  *
  *  - **Allocator-level churn** (`runChurn`): a deterministic
- *    alloc/free driver hammering a facade (GlobalAllocator or
- *    DeviceHeapAllocator) directly — millions of operations, mixed
- *    sizeclasses, cross-context frees that exercise the remote-free
- *    queues, and optional stale frees that land on retired or
- *    reallocated extents (the temporal-safety churn the extent table's
- *    epoch stamping exists for). `churnBasket()` is the fixed 6-spec
- *    basket tracked by bench/bench_alloc_throughput.
+ *    alloc/free driver hammering a MessageHeap of either role directly
+ *    — millions of operations, mixed sizeclasses, cross-context frees
+ *    that exercise the remote-free replay, and optional stale frees
+ *    that land on retired or reallocated extents (the temporal-safety
+ *    churn the extent table's epoch stamping exists for).
+ *    `churnBasket()` is the fixed 6-spec basket tracked by
+ *    bench/bench_alloc_throughput.
  *
  *  - **Kernel-level churn** (`buildChurnFillKernel` /
  *    `buildChurnDrainKernel`): a pair of IR kernels that malloc from
  *    inside one launch, publish the pointers through a global table,
  *    and free them from *shifted* thread indices in a second launch —
  *    so frees are issued by a different SM than the allocating one and
- *    must travel through the MPSC remote queues. Used by the
+ *    wait for the owner's slice-boundary drain. Used by the
  *    byte-identity tests: results must be identical for every
  *    `sim_threads` value.
  *
@@ -49,7 +49,7 @@ struct ChurnMix
 struct ChurnSpec
 {
     std::string name;
-    /** Device-heap facade (in-kernel malloc) vs global (cudaMalloc). */
+    /** Device role (in-kernel malloc) vs Host role (cudaMalloc). */
     bool device_heap = true;
     AllocPolicy policy = AllocPolicy::Packed;
     bool encode_extent = false;
@@ -86,9 +86,8 @@ struct ChurnResult
     uint64_t slabs = 0;
     uint64_t extents = 0;
 
-    /** Remote-free machinery counters. */
+    /** Remote-free counters. */
     uint64_t remote_posted = 0;
-    uint64_t remote_batches = 0;
     uint64_t remote_drained = 0;
     uint64_t drain_calls = 0;
 
@@ -118,7 +117,7 @@ const std::vector<ChurnSpec>& churnBasket();
 const ChurnSpec& findChurnSpec(const std::string& name);
 
 /**
- * Run @p spec against a freshly constructed allocator. Remote queues
+ * Run @p spec against a freshly constructed allocator. Remote frees
  * are drained every @p drain_interval operations (the slice-boundary
  * model) and once at the end.
  */
@@ -142,7 +141,7 @@ ir::IrModule buildChurnFillKernel(unsigned rounds);
  * block's* published pointers — victim gtid = gtid XOR
  * @p block_threads (must be a power of two; launch an even number of
  * blocks) — so each free lands on an SM that does not own the chunk
- * and must be shipped home through the remote-free queues.
+ * and is recycled only at the owner's next drain.
  *
  * Kernel: `churn_drain(table: ptr<8>)`.
  */

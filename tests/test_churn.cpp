@@ -1,14 +1,13 @@
 /**
  * @file
- * Allocation-churn tests: the message-passing allocator under
+ * Allocation-churn tests: the allocator under
  * adversarial alloc/free traffic, and the kernel-level churn pair
- * whose frees cross SMs through the remote-free queues.
+ * whose frees cross SMs and wait for the owner's slice-boundary drain.
  */
 
 #include <gtest/gtest.h>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
+#include "alloc/msg_heap.hpp"
 #include "ir/builder.hpp"
 #include "sim/device.hpp"
 #include "workloads/churn.hpp"
@@ -45,10 +44,10 @@ TEST(Churn, CrossSmSpecExercisesRemoteQueues)
         scaleChurnSpec(findChurnSpec("heap_cross_sm_pow2"), 0.1);
     const ChurnResult r = runChurn(s);
     // Half the frees are issued by a random context; with 16 contexts
-    // nearly all of those are foreign and must ride the MPSC queues.
+    // nearly all of those are foreign and wait for the owner's drain.
     EXPECT_GT(r.remote_posted, r.frees / 4);
-    EXPECT_EQ(r.remote_drained, r.remote_posted); // final drain flushes
-    EXPECT_GT(r.remote_batches, 0u);
+    EXPECT_GT(r.remote_posted, 0u);
+    EXPECT_EQ(r.remote_drained, r.remote_posted); // final drain replays all
 }
 
 TEST(Churn, StaleFreeClassificationUnderChurn)
@@ -68,43 +67,42 @@ TEST(Churn, StaleFreeClassificationUnderChurn)
 TEST(Churn, ExhaustionRecoversThroughRemoteDrain)
 {
     // Region sized for exactly two slabs of the 4 KiB class. Context 1
-    // frees blocks it does not own; the frees park in ctx 0's inbox.
-    // The alloc slow path must drain the queues and retry before
+    // frees blocks it does not own; the frees park until ctx 0's drain.
+    // The alloc slow path must drain the pending frees and retry before
     // reporting exhaustion.
-    GlobalAllocator::Config cfg;
-    cfg.region_base = 0x10000000;
-    cfg.region_size = 128 * 1024;
-    cfg.contexts = 2;
-    GlobalAllocator a(cfg, nullptr);
+    MessageHeap a({.role = HeapRole::Host,
+                   .region_base = 0x10000000,
+                   .region_size = 128 * 1024,
+                   .contexts = 2});
     std::vector<uint64_t> ptrs;
     for (;;) {
-        const uint64_t p = a.allocFrom(0, 4096);
+        const uint64_t p = a.alloc(0, 0, 4096);
         if (!p)
             break;
         ptrs.push_back(p);
     }
     ASSERT_EQ(ptrs.size(), 32u); // 128 KiB / 4 KiB
     for (uint64_t p : ptrs)
-        ASSERT_FALSE(a.freeFrom(1, p).has_value());
-    EXPECT_GT(a.core().remotePending(), 0u);
+        ASSERT_FALSE(a.free(1, p).has_value());
+    EXPECT_GT(a.remotePending(), 0u);
     // No explicit drainRemote: the alloc path must recover on its own.
-    const uint64_t p = a.allocFrom(0, 4096);
+    const uint64_t p = a.alloc(0, 0, 4096);
     EXPECT_NE(p, 0u);
-    EXPECT_EQ(a.core().remotePending(), 0u);
+    EXPECT_EQ(a.remotePending(), 0u);
 }
 
 TEST(Churn, DoubleFreeStaysClassifiedAfterReuse)
 {
-    DeviceHeapAllocator heap;
-    const uint64_t p = heap.malloc(0, 0, 64);
-    ASSERT_FALSE(heap.free(0, 0, p).has_value());
+    MessageHeap heap({.role = HeapRole::Device});
+    const uint64_t p = heap.alloc(0, 0, 64);
+    ASSERT_FALSE(heap.free(0, p).has_value());
     // Re-carve the same chunk, then replay the stale free twice: the
     // first lands on the reallocated (live) extent and succeeds — the
     // UAF-realloc hazard — and the second is a DoubleFree again.
-    const uint64_t q = heap.malloc(0, 0, 64);
+    const uint64_t q = heap.alloc(0, 0, 64);
     ASSERT_EQ(q, p);
-    ASSERT_FALSE(heap.free(0, 0, p).has_value());
-    const MaybeFault dbl = heap.free(0, 0, p);
+    ASSERT_FALSE(heap.free(0, p).has_value());
+    const MaybeFault dbl = heap.free(0, p);
     ASSERT_TRUE(dbl.has_value());
     EXPECT_EQ(dbl->kind, FaultKind::DoubleFree);
 }
@@ -139,12 +137,12 @@ TEST(Churn, CrossSmRemoteFreeAfterOwningBlockExits)
 
     // Launch 2: the owning blocks are long gone; neighbour blocks (on
     // other SMs) free the published pointers. Every free is foreign, so
-    // the chunks travel home through the remote queues.
+    // the chunks return to their owners at the slice-boundary drain.
     const RunResult drain = dev.launch(k.drain, kBlocks, kThreads, {table});
     ASSERT_FALSE(drain.faulted());
     EXPECT_EQ(dev.heapAllocator().liveReservedBytes(), 0u);
     const MessageHeap::RemoteStats& rs =
-        dev.heapAllocator().core().remoteStats();
+        dev.heapAllocator().remoteStats();
     EXPECT_GT(rs.posted, 0u);
     EXPECT_EQ(rs.drained, rs.posted);
 }
@@ -172,7 +170,7 @@ TEST(Churn, KernelChurnByteIdenticalAcrossSimThreads)
         const RunResult drain =
             dev.launch(k.drain, kBlocks, kThreads, {table});
         EXPECT_FALSE(drain.faulted());
-        const MessageHeap& core = dev.heapAllocator().core();
+        const MessageHeap& core = dev.heapAllocator();
         s.live = core.liveReservedBytes();
         s.footprint = core.footprintBytes();
         s.groups = core.groupCount();
@@ -229,10 +227,10 @@ TEST(Churn, GroupAccountingAcrossFreeReallocInOneKernel)
     const uint64_t pa = dev.peek64(out_buf);
     const uint64_t qa = dev.peek64(out_buf + 8);
     EXPECT_EQ(pa, qa); // LIFO cache hands the same chunk back
-    const DeviceHeapAllocator& heap = dev.heapAllocator();
-    EXPECT_EQ(heap.core().groupCount(), 1u);
+    const MessageHeap& heap = dev.heapAllocator();
+    EXPECT_EQ(heap.groupCount(), 1u);
     EXPECT_EQ(heap.liveReservedBytes(), 0u);
-    const MessageHeap::Extent* e = heap.core().extentAt(pa);
+    const MessageHeap::Extent* e = heap.extentAt(pa);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->epoch, 1u); // re-minted, not a fresh record
     EXPECT_FALSE(e->live);

@@ -235,9 +235,10 @@ TEST(Inline, CallBecomesJumpAndScopeEnd)
 {
     IrModule m;
     {
-        // Device function: fills a local buffer, returns its first elem.
+        // Device function: fills a local buffer, returns its first elem
+        // (an i32: the buffer holds 4-byte elements).
         IrFunction helper = IrBuilder::makeKernel("helper", {});
-        helper.ret_type = Type::i64();
+        helper.ret_type = Type::i32();
         IrBuilder b(helper);
         b.setInsertPoint(b.block("entry"));
         auto buf = b.alloca_(256, 4);
@@ -254,7 +255,7 @@ TEST(Inline, CallBecomesJumpAndScopeEnd)
             IrBuilder::makeKernel("main", {{"out", Type::ptr(4)}});
         IrBuilder b(kernel);
         b.setInsertPoint(b.block("entry"));
-        auto r = b.call("helper", Type::i64(), {});
+        auto r = b.call("helper", Type::i32(), {});
         b.store(b.gep(b.param(0), b.constInt(0)), r);
         b.ret();
         m.functions.push_back(std::move(kernel));

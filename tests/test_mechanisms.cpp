@@ -224,10 +224,12 @@ TEST(MechLmi, FalsePositiveFreeLoopIdiom)
     b.setInsertPoint(entry);
     auto start = b.param(0);
     auto n = b.constInt(64);
+    // The phi's entry value must be defined in entry, not header.
+    auto zero = b.constInt(0);
     b.jump(header);
 
     b.setInsertPoint(header);
-    auto i = b.phi(Type::i64(), {{b.constInt(0), entry}});
+    auto i = b.phi(Type::i64(), {{zero, entry}});
     // Rebuild the moving pointer each iteration (ptr = start + i).
     auto cond = b.icmp(CmpOp::LT, i, n);
     b.br(cond, body, exit);

@@ -26,8 +26,8 @@
 #pragma GCC diagnostic ignored "-Wrestrict"
 #endif
 
-#include "alloc/global_allocator.hpp"
 #include "alloc/layout.hpp"
+#include "alloc/msg_heap.hpp"
 #include "arch/microcode.hpp"
 #include "common/rng.hpp"
 #include "core/liveness.hpp"
@@ -138,10 +138,10 @@ TEST(Property, GlobalAllocatorRandomTrafficInvariants)
     for (AllocPolicy policy :
          {AllocPolicy::Packed, AllocPolicy::Pow2Aligned}) {
         SCOPED_TRACE(policy == AllocPolicy::Packed ? "packed" : "pow2");
-        GlobalAllocator::Config cfg;
-        cfg.policy = policy;
-        cfg.encode_extent = policy == AllocPolicy::Pow2Aligned;
-        GlobalAllocator alloc(cfg);
+        MessageHeap alloc(
+            {.role = HeapRole::Host,
+             .policy = policy,
+             .encode_extent = policy == AllocPolicy::Pow2Aligned});
         const PointerCodec codec;
 
         Rng rng(1234);
@@ -152,7 +152,7 @@ TEST(Property, GlobalAllocatorRandomTrafficInvariants)
         for (unsigned step = 0; step < 4000; ++step) {
             if (handles.empty() || rng.chance(0.6)) {
                 const uint64_t size = rng.range(1, 256 * 1024);
-                const uint64_t ptr = alloc.alloc(size);
+                const uint64_t ptr = alloc.alloc(0, 0, size);
                 ASSERT_NE(ptr, 0u);
                 const uint64_t base = PointerCodec::addressOf(ptr);
                 const AllocBlock* block = alloc.findLive(base);
@@ -186,7 +186,7 @@ TEST(Property, GlobalAllocatorRandomTrafficInvariants)
                         : PointerCodec::addressOf(ptr);
                 expected_reserved -= live.at(base);
                 live.erase(base);
-                ASSERT_FALSE(alloc.free(ptr).has_value());
+                ASSERT_FALSE(alloc.free(0, ptr).has_value());
                 handles.erase(handles.begin() + long(victim));
             }
             ASSERT_EQ(alloc.liveReservedBytes(), expected_reserved);

@@ -332,6 +332,9 @@ TEST(Sim, FloatArithmetic)
     auto out = b.param(1);
     auto t = b.gtid();
     auto va = b.load(b.gep(a, t));
+    // The builder types every load as an integer; this one reads a
+    // double, so the verifier must see a float operand for ffma.
+    f.inst(va).type = Type::f32();
     auto fv = b.ffma(va, b.constFloat(2.5), b.constFloat(1.0));
     b.store(b.gep(out, t), fv);
     b.ret();
